@@ -46,6 +46,22 @@ _FAMILY_FIELDS = {
 _OPTIONAL_FIELDS = {"scaled_exponential": {"beta": 1.0}, "scaled_power": {"beta": 1.0}}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+_SIM_FIELDS = {
+    "dt": ("a number", _is_number),
+    "n_paths": _INTEGER,
+    "seed": _INTEGER,
+    "t_max": ("a number or null", lambda v: v is None or _is_number(v)),
+    "bridge_correction": _BOOLEAN,
+    "strict": _BOOLEAN,
+}
+
+
 def _require_keys(entry: dict, allowed: set[str], where: str) -> None:
     unknown = set(entry) - allowed
     if unknown:
@@ -64,7 +80,7 @@ def _spec_from_dict(entry: dict, where: str) -> CostSpec:
     for name in fields:
         if name in entry:
             value = entry[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ValidationError(f"{where}: field {name!r} must be a number")
             kwargs[name] = float(value)
         elif name not in kwargs:
@@ -104,11 +120,7 @@ class ScenarioConfig:
 
 
 def _parse_range(value, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ValidationError(f"{where} must be a [lo, hi] number pair")
     lo, hi = float(value[0]), float(value[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
@@ -151,8 +163,11 @@ def parse_scenario(document: dict) -> ScenarioConfig:
         sim_doc = document["sim"]
         if not isinstance(sim_doc, dict):
             raise ValidationError("'sim' must be an object")
-        allowed = {"dt", "n_paths", "seed", "t_max", "bridge_correction", "strict"}
-        _require_keys(sim_doc, allowed, "sim")
+        _require_keys(sim_doc, set(_SIM_FIELDS), "sim")
+        for name, value in sim_doc.items():
+            kind, ok = _SIM_FIELDS[name]
+            if not ok(value):
+                raise ValidationError(f"sim.{name} must be {kind}, got {value!r}")
         try:
             sim = SimConfig(**sim_doc)
         except TypeError as exc:
@@ -167,7 +182,7 @@ def parse_scenario(document: dict) -> ScenarioConfig:
         if "alpha" not in pen_doc:
             raise ValidationError("penalty requires 'alpha'")
         raw = pen_doc["alpha"]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        if not _is_number(raw):
             raise ValidationError("penalty.alpha must be a number")
         penalty_alpha = float(raw)
         if not (math.isfinite(penalty_alpha) and 0.0 <= penalty_alpha <= 1.0):

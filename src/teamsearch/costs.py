@@ -87,7 +87,9 @@ class ScaledExponential:
 
     def curvature(self, sigma):
         _check_sigma(sigma)
-        out = self.b * self.b * np.exp(self.b * np.asarray(sigma, dtype=float)) / self.beta
+        with np.errstate(over="ignore"):
+            out = self.b * self.b * np.exp(self.b * np.asarray(sigma, dtype=float)) / self.beta
+        _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 
     def ratio(self, sigma):
@@ -195,6 +197,7 @@ class AffineQuadratic:
         _check_sigma(sigma)
         s = np.asarray(sigma, dtype=float)
         out = 2.0 * self.a2 * s + self.a1
+        _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 
     def curvature(self, sigma):

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError
-from .scopes import Alliance, ScopeProfile, as_alliance, equilibrium_scopes
+from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, equilibrium_scopes
 
 # Drawdowns within this (scaled) tolerance of the minimum exit together.
 TIE_TOL = 1e-12
@@ -103,17 +103,18 @@ def equilibrium_exit_schedule(
     if not members:
         raise ValueError("team must be non-empty")
 
+    cache = ProfileCache(_solve, costs, bounds)
     waves: list[Wave] = []
     current = members
     prev_trigger = -math.inf
     while current:
-        profile = _solve(current, costs, bounds)
+        profile = cache.profile(current)
         dset = equilibrium_drawdowns(current, profile, costs)
         d_star = dset.trigger
         exiting = set(dset.first_exiters)
         rest = tuple(i for i in current if i not in exiting)
         while rest:
-            rest_dset = equilibrium_drawdowns(rest, _solve(rest, costs, bounds), costs)
+            rest_dset = equilibrium_drawdowns(rest, cache.profile(rest), costs)
             pulled = {
                 j
                 for j in rest

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError, ValidationError
-from .scopes import Alliance, ScopeProfile, as_alliance, planner_scopes
+from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, planner_scopes
 from .welfare import WelfareReport, chain_welfare
 
 ARGMAX_TIE_TOL = 1e-12
@@ -39,28 +39,7 @@ class AllianceChain:
         return zip(self.alliances, self.profiles, self.drawdowns)
 
 
-class _ProfileCache:
-    """Planner profiles and C/S^2 terms per alliance, solved once."""
-
-    def __init__(self, costs: Sequence[CostSpec], bounds: ScopeBounds):
-        self.costs = costs
-        self.bounds = bounds
-        self._profiles: dict[Alliance, ScopeProfile] = {}
-
-    def profile(self, alliance: Alliance) -> ScopeProfile:
-        if alliance not in self._profiles:
-            self._profiles[alliance] = planner_scopes(alliance, self.costs, self.bounds)
-        return self._profiles[alliance]
-
-    def cost_per_speed(self, alliance: Alliance) -> float:
-        if not alliance:
-            return 0.0
-        prof = self.profile(alliance)
-        total_cost = sum(self.costs[i].cost(prof.per_agent[i]) for i in alliance)
-        return total_cost / (prof.total * prof.total)
-
-
-def _drawdown(cache: _ProfileCache, current: Alliance, successor: Alliance) -> float:
+def _drawdown(cache: ProfileCache, current: Alliance, successor: Alliance) -> float:
     exiting = len(current) - len(successor)
     denom = 2.0 * (cache.cost_per_speed(current) - cache.cost_per_speed(successor))
     if denom == 0.0:
@@ -85,11 +64,11 @@ def planner_drawdown(
         raise ValueError("current alliance must be non-empty")
     if not set(suc) < set(cur):
         raise ValueError(f"successor {suc} must be a proper subset of {cur}")
-    return _drawdown(_ProfileCache(costs, bounds), cur, suc)
+    return _drawdown(ProfileCache(planner_scopes, costs, bounds), cur, suc)
 
 
 def _build_chain(
-    cache: _ProfileCache, alliances: Sequence[Alliance], trace: tuple[int, ...] = ()
+    cache: ProfileCache, alliances: Sequence[Alliance], trace: tuple[int, ...] = ()
 ) -> AllianceChain:
     drawdowns = []
     for k, alliance in enumerate(alliances):
@@ -124,7 +103,7 @@ def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> 
     """
     _check_wellordered(costs)
     n = len(costs)
-    cache = _ProfileCache(costs, bounds)
+    cache = ProfileCache(planner_scopes, costs, bounds)
     suffix = lambda j: tuple(range(j, n))
 
     picks: list[int] = []
@@ -188,7 +167,7 @@ def brute_force_optimal_chain(
             wellordered = True
         except ValidationError:
             wellordered = False
-    cache = _ProfileCache(costs, bounds)
+    cache = ProfileCache(planner_scopes, costs, bounds)
     best: tuple[AllianceChain, WelfareReport] | None = None
     for skeleton in enumerate_chains(range(len(costs)), wellordered):
         chain = _build_chain(cache, skeleton)

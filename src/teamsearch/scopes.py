@@ -10,7 +10,6 @@ parametrized by a common marginal cost lambda and the optimality condition
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,8 +21,7 @@ from .errors import SolverError
 Alliance = tuple[int, ...]
 
 SCAN_POINTS = 512
-BISECT_TOL = 1e-12
-BISECT_MAX_ITER = 200
+ROOT_TOL = 1e-12
 # A profile counts as interior when first-order residuals are below this
 # (scaled by the magnitude of the matched quantity).
 INTERIOR_TOL = 1e-9
@@ -64,33 +62,41 @@ class ScopeProfile:
         return np.array([self.per_agent[i] for i in keys], dtype=float)
 
 
-def _scan_roots(grid: np.ndarray, values: np.ndarray, fn, tol: float):
-    """Exact zeros on the grid plus bisection roots of each sign change."""
-    roots = [float(g) for g, v in zip(grid, values) if abs(v) <= 1e-12]
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(values[i]), float(values[i + 1])
-        if abs(fa) <= 1e-12 or abs(fb) <= 1e-12 or fa * fb > 0:
-            continue
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b or (b - a) <= tol * max(1.0, abs(mid)):
-                break
-            fm = fn(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    roots.sort()
+def _roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Sorted, de-duplicated zeros of the vector function ``fn``, and ``fn`` on ``grid``.
+
+    Grid points with |fn| <= 1e-12 are exact zeros.  All other sign changes
+    are refined together by k-section: each round evaluates ``fn`` once on
+    SCAN_POINTS interior points of every open bracket and keeps the first
+    sub-interval with a sign change, until its width is within ROOT_TOL.
+    """
+    values = fn(grid)
+    zero = np.abs(values) <= 1e-12
+    roots = list(grid[zero])
+    idx = np.flatnonzero(~zero[:-1] & ~zero[1:] & ~(values[:-1] * values[1:] > 0))
+    a, b, fa = grid[idx], grid[idx + 1], values[idx]
+    frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
+    while True:
+        mid = 0.5 * (a + b)
+        done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
+        roots.extend(mid[done])
+        a, b, fa = a[~done], b[~done], fa[~done]
+        if not a.size:
+            break
+        pts = np.column_stack([a, a[:, None] + (b - a)[:, None] * frac, b])
+        # The last column stands in for the right end, where the sign differs.
+        f = np.column_stack([fn(pts[:, 1:-1].ravel()).reshape(len(a), SCAN_POINTS), -fa])
+        k = np.argmax((f == 0.0) | (fa[:, None] * f < 0), axis=1)
+        rows = np.arange(len(a))
+        exact = f[rows, k] == 0.0
+        roots.extend(pts[rows, k + 1][exact])
+        a, b, fa = pts[rows, k][~exact], pts[rows, k + 1][~exact], fa[~exact]
+    roots = sorted(float(r) for r in roots)
     deduped: list[float] = []
     for r in roots:
         if not deduped or r - deduped[-1] > 1e-9 * max(1.0, abs(r)):
             deduped.append(r)
-    return deduped
+    return deduped, values
 
 
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
@@ -104,10 +110,6 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
     fallback = np.where(np.asarray(spec.ratio(bounds.hi)) > totals, bounds.hi, bounds.lo)
     clipped = np.clip(matched, bounds.lo, bounds.hi)
     return np.where(np.isfinite(matched), clipped, fallback)
-
-
-def _reply(spec: CostSpec, bounds: ScopeBounds, total: float) -> float:
-    return float(_reply_grid(spec, bounds, np.asarray([total]))[0])
 
 
 def equilibrium_scopes(
@@ -131,14 +133,11 @@ def equilibrium_scopes(
     counts: dict[CostSpec, int] = {}
     for spec in specs.values():
         counts[spec] = counts.get(spec, 0) + 1
-    h_grid = -grid.astype(float)
-    for spec, cnt in counts.items():
-        h_grid = h_grid + cnt * _reply_grid(spec, bounds, grid)
 
-    def h(total: float) -> float:
-        return sum(cnt * _reply(spec, bounds, total) for spec, cnt in counts.items()) - total
+    def reply_gap(totals: np.ndarray) -> np.ndarray:
+        return sum(cnt * _reply_grid(spec, bounds, totals) for spec, cnt in counts.items()) - totals
 
-    roots = _scan_roots(grid, h_grid, h, BISECT_TOL)
+    roots, h_grid = _roots(reply_gap, grid)
     if not roots:
         raise SolverError(
             "no consistent scope profile: reply-gap has no zero on "
@@ -159,7 +158,7 @@ def equilibrium_scopes(
     ]
     if pool:
         total = specs[pool[0]].ratio_constant  # exact jump location
-    per_agent = {i: _reply(specs[i], bounds, total) for i in members if i not in pool}
+    per_agent = {i: float(_reply_grid(specs[i], bounds, total)) for i in members if i not in pool}
     if pool:
         share = (total - sum(per_agent.values())) / len(pool)
         clipped_share = bounds.clip(share)
@@ -216,12 +215,7 @@ def planner_scopes(
         scope_sum = sum(sig[i] for i in members)
         return 2.0 * cost_sum - lam * scope_sum
 
-    g_grid = gap_vec(lam_grid)
-
-    def g(lam: float) -> float:
-        return float(gap_vec(np.asarray([lam]))[0])
-
-    roots = _scan_roots(lam_grid, g_grid, g, BISECT_TOL)
+    roots, g_grid = _roots(gap_vec, lam_grid)
     if not roots:
         raise SolverError(
             "no planner multiplier with zero optimality gap on "
@@ -251,6 +245,29 @@ def planner_scopes(
         residual=residual,
         warnings=tuple(warnings),
     )
+
+
+class ProfileCache:
+    """Profiles from ``solve(alliance, costs, bounds)`` and their C/S^2, once per alliance."""
+
+    def __init__(self, solve, costs: Sequence[CostSpec], bounds: ScopeBounds):
+        self.solve = solve
+        self.costs = costs
+        self.bounds = bounds
+        self._profiles: dict[Alliance, ScopeProfile] = {}
+        self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
+
+    def profile(self, alliance: Alliance) -> ScopeProfile:
+        if alliance not in self._profiles:
+            self._profiles[alliance] = self.solve(alliance, self.costs, self.bounds)
+        return self._profiles[alliance]
+
+    def cost_per_speed(self, alliance: Alliance) -> float:
+        if alliance not in self._cost_per_speed:
+            prof = self.profile(alliance)
+            total_cost = sum(self.costs[i].cost(prof.per_agent[i]) for i in alliance)
+            self._cost_per_speed[alliance] = total_cost / (prof.total * prof.total)
+        return self._cost_per_speed[alliance]
 
 
 def interior_capacity(

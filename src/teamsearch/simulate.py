@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SimulationError, ValidationError
@@ -305,6 +304,8 @@ def stopped_max_distribution_test(
     samples = outcome.wave_M[0]
     samples = samples[~np.isnan(samples)]
     mean = drawdown if null_mean is None else null_mean
+    from scipy import stats  # deferred: importing scipy.stats costs most of startup
+
     result = stats.kstest(samples, "expon", args=(0.0, mean))
     return KSReport(
         statistic=float(result.statistic),

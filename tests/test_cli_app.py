@@ -222,3 +222,29 @@ def test_simulate_deterministic_and_seed_sensitive(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     assert run_cli("simulate", path, "--seed", "99", "--out", str(out_c)).returncode == 0
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_paths", 100.0),
+        ("n_paths", True),
+        ("bridge_correction", "no"),
+        ("seed", 1.5),
+    ],
+)
+def test_wrongly_typed_sim_field_exits_two(tmp_path, field, value):
+    doc = quick_sim_doc(base_doc(betas=(1.0,)), n_paths=100)
+    doc["sim"][field] = value
+    result = run_cli("simulate", write_scenario(tmp_path, doc))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: sim.{field} must be ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, teamsearch, teamsearch.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

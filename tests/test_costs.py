@@ -207,3 +207,14 @@ def test_proportional_keys_group_scaled_copies():
     q3 = AffineQuadratic(a2=4.0, a1=2.0, a0=5.0)
     assert q1.proportional_key() == q2.proportional_key()
     assert q1.proportional_key() != q3.proportional_key()
+
+
+def test_every_derivative_rejects_non_finite_values():
+    # curvature and the affine marginal share the finiteness guard of cost().
+    with pytest.raises(CostDomainError):
+        ScaledExponential(b=1000.0).curvature(10.0)
+    with pytest.raises(CostDomainError):
+        ScaledExponential(b=1000.0).curvature(np.array([0.0, 10.0]))
+    with pytest.raises(CostDomainError):
+        AffineQuadratic(1e308, 1e308, 1.0).marginal(10.0)
+    assert AffineQuadratic(1.0, 0.5, 1.0).marginal(2.0) == 4.5

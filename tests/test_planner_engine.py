@@ -213,3 +213,38 @@ def test_planner_drawdown_dominates_equilibrium_trigger_on_shared_alliances():
         for alliance, d in zip(chain.alliances, chain.drawdowns):
             if alliance in eq_by_alliance:
                 assert d >= eq_by_alliance[alliance] - 1e-9
+
+
+def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
+    # C/S^2 is memoized per alliance: outside the scope solves and the welfare
+    # of feasible chains, cost() runs at most once per member of each distinct
+    # alliance, however many chain links reuse that alliance.
+    import teamsearch.planner as planner_module
+
+    inside, counted, solved = [0], [0], set()
+
+    class CountingExponential(ScaledExponential):
+        def cost(self, sigma):
+            counted[0] += not inside[0]
+            return super().cost(sigma)
+
+    def uncounted(fn):
+        def wrapped(*args):
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return wrapped
+
+    solve = uncounted(planner_module.planner_scopes)
+    monkeypatch.setattr(
+        planner_module, "planner_scopes", lambda *args: solved.add(args[0]) or solve(*args)
+    )
+    monkeypatch.setattr(planner_module, "chain_welfare", uncounted(planner_module.chain_welfare))
+    costs = [CountingExponential(b=1.0, beta=beta) for beta in (3.0, 1.0, 5.0, 1.5, 2.0)]
+    brute_force_optimal_chain(costs, ROOMY)
+    bound = sum(len(alliance) for alliance in solved)
+    links = sum(len(chain) for chain in enumerate_chains(range(5), wellordered=False))
+    assert 0 < counted[0] <= bound
+    assert links > 10 * bound

@@ -192,3 +192,90 @@ def test_scope_profile_accessor_roundtrip():
     profile = equilibrium_scopes([0, 1], costs, WIDE)
     np.testing.assert_allclose(profile.scopes(), [1.0, 1.0])
     np.testing.assert_allclose(profile.scopes([1]), [1.0])
+
+
+def test_planner_matches_closed_form_for_interior_exponential_teams():
+    # Interior scaled_exponential teams: b*sigma_i = 2 - mean(log beta) + log beta_i
+    # and b*S = 2n.  The multiplier is found to a relative bracket width of
+    # 1e-12, so the dimensionless scopes b*sigma_i must agree to 1e-12 each.
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        b = float(rng.choice([0.5, 1.0, 2.0]))
+        betas = rng.uniform(1.0, 6.0, n)
+        costs = [ScaledExponential(b=b, beta=float(beta)) for beta in betas]
+        profile = planner_scopes(range(n), costs, ScopeBounds(0.01, 50.0))
+        log_beta = np.log(betas)
+        assert profile.interior
+        np.testing.assert_allclose(
+            b * profile.scopes(), 2.0 - log_beta.mean() + log_beta, rtol=0.0, atol=1e-12
+        )
+        assert abs(b * profile.total - 2.0 * n) <= 1e-12 * n
+
+
+def test_constant_ratio_jump_snaps_to_ratio_constant():
+    # The reply gap crosses zero at the b=0.7 agent's jump 2/0.7, which is no
+    # grid point; the root is snapped there exactly and that agent takes the
+    # slack left by the other agent (at its lower bound).
+    costs = [ScaledExponential(b=1.0), ScaledExponential(b=0.7)]
+    profile = equilibrium_scopes([0, 1], costs, WIDE)
+    assert profile.per_agent[0] == 0.1
+    assert profile.per_agent[1] == 2.0 / 0.7 - 0.1
+    assert profile.total == pytest.approx(2.0 / 0.7, abs=1e-15)
+    assert not profile.degenerate
+    assert not profile.warnings
+
+
+def test_reply_gap_with_two_sign_changes_warns_and_takes_smallest():
+    # With the power agent's reply S (clipped) and the affine agent's reply
+    # switching branches, the gap crosses zero continuously at S=3, jumps
+    # through zero at S=4, and is exactly zero at the grid end S=5.
+    costs = [AffineQuadratic(0.5, 0.5, 1.0), ScaledPower(a=1.0, p=2.0)]
+    profile = equilibrium_scopes([0, 1], costs, ScopeBounds(0.5, 2.5))
+    (warning,) = profile.warnings
+    assert warning.startswith("multiple candidate totals [")
+    assert warning.endswith("]; selected smallest")
+    candidates = [float(v) for v in warning.split("[")[1].split("]")[0].split(",")]
+    assert candidates == pytest.approx([3.0, 4.0, 5.0], abs=1e-9)
+    assert profile.total == pytest.approx(3.0, abs=1e-12)
+    assert profile.per_agent == pytest.approx({0: 0.5, 1: 2.5}, abs=1e-12)
+
+
+def _bisection_roots(fn, grid):
+    """Scalar reference for the root primitive: each grid sign change bisected alone."""
+    values = fn(grid)
+    roots = [float(g) for g, v in zip(grid, values) if abs(v) <= 1e-12]
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+        if abs(fa) <= 1e-12 or abs(fb) <= 1e-12 or fa * fb > 0:
+            continue
+        while b - a > 1e-12 * max(1.0, abs(0.5 * (a + b))):
+            mid = 0.5 * (a + b)
+            fm = fn(np.array([mid]))[0]
+            if fm == 0.0:
+                a = b = mid
+            elif fa * fm < 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        roots.append(0.5 * (a + b))
+    return sorted(roots)
+
+
+@pytest.mark.parametrize(
+    "fn, grid",
+    [
+        (lambda x: (x - 1.0) * (x - 2.5) * (x - 4.0), np.linspace(0.0, 5.0, 512)),
+        (lambda x: np.where(x < 2.0 / 0.7, 1.0, -1.0), np.linspace(0.1, 10.0, 512)),
+        (lambda x: np.sin(3.0 * x), np.geomspace(0.1, 10.0, 512)),
+        (lambda x: x - 2.0, np.linspace(0.0, 5.0, 512)),
+    ],
+)
+def test_root_primitive_matches_scalar_bisection(fn, grid):
+    from teamsearch.scopes import _roots
+
+    roots, values = _roots(fn, grid)
+    np.testing.assert_array_equal(values, fn(grid))
+    expected = _bisection_roots(fn, grid)
+    assert len(roots) == len(expected)
+    for got, want in zip(roots, expected):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
