@@ -1,36 +1,42 @@
 """Command-line front end: scenario files, solve/schedule/simulate/scan tables.
 
-Scenario files are JSON with exact field names and fail-fast parsing
-(unknown keys are errors).  All tables are comma-separated UTF-8 with a
-header row and 10 significant digits; agent labels in wave strings are
-1-based.  Exit codes: 0 success, 1 runtime/numerical failure, 2 config
-validation failure.
+Scenario files are JSON.  Each section is parsed by one generic builder from
+the dataclass it produces (the cost families, ``ScopeBounds``, ``SimConfig``,
+``PenaltySpec``, ``ScanSpec``): keys, defaults and value kinds come from the
+dataclass fields, and domain rules from its ``__post_init__``.  Unknown or
+missing keys and wrongly typed values are errors; numbers must be finite,
+ints are accepted for floats, and strings, booleans and null are never
+coerced.  ``validate`` echoes the parsed dataclasses.  All tables are
+comma-separated UTF-8 with a header row and 10 significant digits; agent
+labels in wave strings are 1-based.  Exit codes: 0 success, 1
+runtime/numerical failure, 2 invalid scenario, horizon over the step budget,
+or unreadable input / unwritable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .costs import (
-    AffineQuadratic,
-    CostSpec,
-    ScaledExponential,
-    ScaledPower,
-    ScopeBounds,
-    validate_cost,
-)
-from .equilibrium import ExitSchedule, equilibrium_drawdowns, equilibrium_exit_schedule
+from .costs import FAMILIES, CostSpec, ScaledExponential, ScopeBounds, validate_cost
+from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
 from .errors import SimulationError, SolverError, TeamSearchError, ValidationError
-from .penalty import PenaltyConfig, expected_penalty_payoffs, penalty_policy, simulate_penalty
+from .penalty import (
+    PenaltyConfig,
+    PenaltySpec,
+    expected_penalty_payoffs,
+    penalty_policy,
+    simulate_penalty,
+)
 from .planner import optimal_chain, planner_drawdown
 from .scopes import equilibrium_scopes, planner_scopes
 from .simulate import SimConfig, SimOutcome, simulate_schedule
@@ -38,69 +44,68 @@ from .welfare import chain_welfare, equilibrium_payoffs
 
 FMT = "%.10g"
 
-_FAMILY_FIELDS = {
-    "scaled_exponential": ("b", "beta"),
-    "scaled_power": ("a", "p", "beta"),
-    "affine_quadratic": ("a2", "a1", "a0"),
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) that is finite as a float."""
+    try:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# Field annotation -> (what a value must be, check, conversion of a checked value).
+_KINDS = {
+    float: ("a finite number", _is_finite, float),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    float | None: ("a finite number or null", lambda v: v is None or _is_finite(v),
+                   lambda v: None if v is None else float(v)),
+    tuple[float, float]: (
+        "a [lo, hi] number pair",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)),
+        lambda v: (float(v[0]), float(v[1])),
+    ),
 }
-_OPTIONAL_FIELDS = {"scaled_exponential": {"beta": 1.0}, "scaled_power": {"beta": 1.0}}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
-_SIM_FIELDS = {
-    "dt": ("a number", _is_number),
-    "n_paths": _INTEGER,
-    "seed": _INTEGER,
-    "t_max": ("a number or null", lambda v: v is None or _is_number(v)),
-    "bridge_correction": _BOOLEAN,
-    "strict": _BOOLEAN,
-}
-
-
-def _require_keys(entry: dict, allowed: set[str], where: str) -> None:
-    unknown = set(entry) - allowed
+def _check_keys(obj, allowed, required, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"'{where}' must be an object")
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValidationError(f"{where}: missing field(s) {missing}")
 
 
-def _spec_from_dict(entry: dict, where: str) -> CostSpec:
-    if not isinstance(entry, dict) or "family" not in entry:
-        raise ValidationError(f"{where}: each agent needs a 'family' field")
-    family = entry["family"]
-    if family not in _FAMILY_FIELDS:
-        raise ValidationError(f"{where}: unknown family {family!r}")
-    fields = _FAMILY_FIELDS[family]
-    _require_keys(entry, {"family", *fields}, where)
-    kwargs = dict(_OPTIONAL_FIELDS.get(family, {}))
-    for name in fields:
-        if name in entry:
-            value = entry[name]
-            if not _is_number(value):
-                raise ValidationError(f"{where}: field {name!r} must be a number")
-            kwargs[name] = float(value)
-        elif name not in kwargs:
-            raise ValidationError(f"{where}: missing field {name!r}")
+def _build(cls, obj, where: str):
+    """Scenario section ``where`` as a ``cls`` instance, checked against its dataclass fields."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    required = [name for name, f in fields.items() if f.default is dataclasses.MISSING]
+    _check_keys(obj, fields, required, where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, value in obj.items():
+        kind, ok, convert = _KINDS[hints[name]]
+        if not ok(value):
+            raise ValidationError(f"{where}.{name} must be {kind}, got {value!r}")
+        kwargs[name] = convert(value)
     try:
-        if family == "scaled_exponential":
-            return ScaledExponential(**kwargs)
-        if family == "scaled_power":
-            return ScaledPower(**kwargs)
-        return AffineQuadratic(**kwargs)
+        return cls(**kwargs)
     except (ValueError, TeamSearchError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _spec_to_dict(spec: CostSpec) -> dict:
-    if isinstance(spec, ScaledExponential):
-        return {"family": "scaled_exponential", "b": spec.b, "beta": spec.beta}
-    if isinstance(spec, ScaledPower):
-        return {"family": "scaled_power", "a": spec.a, "p": spec.p, "beta": spec.beta}
-    return {"family": "affine_quadratic", "a2": spec.a2, "a1": spec.a1, "a0": spec.a0}
+def _spec_from_dict(entry, where: str) -> CostSpec:
+    if not isinstance(entry, dict) or "family" not in entry:
+        raise ValidationError(f"{where}: each agent needs a 'family' field")
+    params = dict(entry)
+    family = params.pop("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValidationError(f"{where}: unknown family {family!r}")
+    return _build(FAMILIES[family], params, where)
 
 
 @dataclass(frozen=True)
@@ -109,106 +114,46 @@ class ScanSpec:
     beta3_range: tuple[float, float] = (0.0, 24.0)
     steps: int = 96
 
+    def __post_init__(self) -> None:
+        for lo, hi in (self.beta2_range, self.beta3_range):
+            if not 0.0 <= lo < hi < math.inf:
+                raise ValueError("beta ranges must be finite with 0 <= lo < hi")
+        if self.steps < 1:
+            raise ValueError("steps must be a positive integer")
+
+
+# Optional scenario sections, by key.
+_SECTIONS = {"sim": SimConfig, "penalty": PenaltySpec, "scan": ScanSpec}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     agents: tuple[CostSpec, ...]
     scope_bounds: ScopeBounds
     sim: SimConfig | None = None
-    penalty_alpha: float | None = None
+    penalty: PenaltySpec | None = None
     scan: ScanSpec | None = None
 
 
-def _parse_range(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
-        raise ValidationError(f"{where} must be a [lo, hi] number pair")
-    lo, hi = float(value[0]), float(value[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo >= 0.0):
-        raise ValidationError(f"{where} must satisfy 0 <= lo < hi")
-    return lo, hi
-
-
-def parse_scenario(document: dict) -> ScenarioConfig:
-    if not isinstance(document, dict):
-        raise ValidationError("scenario must be a JSON object")
-    _require_keys(document, {"agents", "scope_bounds", "sim", "penalty", "scan"}, "scenario")
-    if "agents" not in document or "scope_bounds" not in document:
-        raise ValidationError("scenario requires 'agents' and 'scope_bounds'")
-
+def parse_scenario(document) -> ScenarioConfig:
+    required = ("agents", "scope_bounds")
+    _check_keys(document, (*required, *_SECTIONS), required, "scenario")
     agents_doc = document["agents"]
     if not isinstance(agents_doc, list) or len(agents_doc) < 1:
         raise ValidationError("'agents' must be a non-empty list")
     agents = tuple(
         _spec_from_dict(entry, f"agents[{i}]") for i, entry in enumerate(agents_doc)
     )
-
-    bounds_doc = document["scope_bounds"]
-    if not isinstance(bounds_doc, dict):
-        raise ValidationError("'scope_bounds' must be an object")
-    _require_keys(bounds_doc, {"lo", "hi"}, "scope_bounds")
-    if "lo" not in bounds_doc or "hi" not in bounds_doc:
-        raise ValidationError("scope_bounds requires 'lo' and 'hi'")
-    try:
-        bounds = ScopeBounds(float(bounds_doc["lo"]), float(bounds_doc["hi"]))
-    except (ValueError, TeamSearchError) as exc:
-        raise ValidationError(f"scope_bounds: {exc}") from exc
-
+    bounds = _build(ScopeBounds, document["scope_bounds"], "scope_bounds")
     for i, spec in enumerate(agents):
         report = validate_cost(spec, bounds)
         if not report.valid:
             raise ValidationError(f"agents[{i}] invalid: {'; '.join(report.issues)}")
-
-    sim = None
-    if "sim" in document:
-        sim_doc = document["sim"]
-        if not isinstance(sim_doc, dict):
-            raise ValidationError("'sim' must be an object")
-        _require_keys(sim_doc, set(_SIM_FIELDS), "sim")
-        for name, value in sim_doc.items():
-            kind, ok = _SIM_FIELDS[name]
-            if not ok(value):
-                raise ValidationError(f"sim.{name} must be {kind}, got {value!r}")
-        try:
-            sim = SimConfig(**sim_doc)
-        except TypeError as exc:
-            raise ValidationError(f"sim: {exc}") from exc
-
-    penalty_alpha = None
-    if "penalty" in document:
-        pen_doc = document["penalty"]
-        if not isinstance(pen_doc, dict):
-            raise ValidationError("'penalty' must be an object")
-        _require_keys(pen_doc, {"alpha"}, "penalty")
-        if "alpha" not in pen_doc:
-            raise ValidationError("penalty requires 'alpha'")
-        raw = pen_doc["alpha"]
-        if not _is_number(raw):
-            raise ValidationError("penalty.alpha must be a number")
-        penalty_alpha = float(raw)
-        if not (math.isfinite(penalty_alpha) and 0.0 <= penalty_alpha <= 1.0):
-            raise ValidationError("penalty.alpha must lie in [0, 1]")
-
-    scan = None
-    if "scan" in document:
-        scan_doc = document["scan"]
-        if not isinstance(scan_doc, dict):
-            raise ValidationError("'scan' must be an object")
-        _require_keys(scan_doc, {"beta2_range", "beta3_range", "steps"}, "scan")
-        kwargs = {}
-        if "beta2_range" in scan_doc:
-            kwargs["beta2_range"] = _parse_range(scan_doc["beta2_range"], "scan.beta2_range")
-        if "beta3_range" in scan_doc:
-            kwargs["beta3_range"] = _parse_range(scan_doc["beta3_range"], "scan.beta3_range")
-        if "steps" in scan_doc:
-            steps = scan_doc["steps"]
-            if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-                raise ValidationError("scan.steps must be a positive integer")
-            kwargs["steps"] = steps
-        scan = ScanSpec(**kwargs)
+    sections = {key: _build(cls, document[key], key)
+                for key, cls in _SECTIONS.items() if key in document}
+    if "scan" in sections:
         _check_scan_template(agents)
-    return ScenarioConfig(
-        agents=agents, scope_bounds=bounds, sim=sim, penalty_alpha=penalty_alpha, scan=scan
-    )
+    return ScenarioConfig(agents, bounds, **sections)
 
 
 def _check_scan_template(agents: Sequence[CostSpec]) -> None:
@@ -224,36 +169,21 @@ def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"cannot open scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"scenario is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ValidationError(f"cannot read scenario: {exc}") from exc
     return parse_scenario(document)
 
 
 def scenario_to_document(config: ScenarioConfig) -> dict:
+    names = {cls: name for name, cls in FAMILIES.items()}
     doc: dict = {
-        "agents": [_spec_to_dict(a) for a in config.agents],
-        "scope_bounds": {"lo": config.scope_bounds.lo, "hi": config.scope_bounds.hi},
+        "agents": [{"family": names[type(a)], **asdict(a)} for a in config.agents],
+        "scope_bounds": asdict(config.scope_bounds),
     }
-    if config.sim is not None:
-        s = config.sim
-        doc["sim"] = {
-            "dt": s.dt,
-            "n_paths": s.n_paths,
-            "seed": s.seed,
-            "t_max": s.t_max,
-            "bridge_correction": s.bridge_correction,
-            "strict": s.strict,
-        }
-    if config.penalty_alpha is not None:
-        doc["penalty"] = {"alpha": config.penalty_alpha}
-    if config.scan is not None:
-        doc["scan"] = {
-            "beta2_range": list(config.scan.beta2_range),
-            "beta3_range": list(config.scan.beta3_range),
-            "steps": config.scan.steps,
-        }
+    for key in _SECTIONS:
+        section = getattr(config, key)
+        if section is not None:
+            doc[key] = asdict(section)
     return doc
 
 
@@ -270,6 +200,17 @@ def _chain_waves(alliances: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(sorted(set(a) - set(b))) for a, b in zip(sets, sets[1:])]
 
 
+def _write(text: str, path: str | None) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot write output: {exc}") from exc
+
+
 def _emit(rows: list[list[str]], comments: list[str], out_path: str | None) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -277,12 +218,7 @@ def _emit(rows: list[list[str]], comments: list[str], out_path: str | None) -> N
         writer.writerow(row)
     for comment in comments:
         buffer.write(comment + "\n")
-    text = buffer.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buffer.getvalue(), out_path)
 
 
 def _fmt(value: float) -> str:
@@ -290,12 +226,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_validate(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    text = json.dumps(scenario_to_document(config), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write(json.dumps(scenario_to_document(config), indent=2) + "\n", args.out)
     return 0
 
 
@@ -307,12 +238,10 @@ def cmd_solve(config: ScenarioConfig, args: argparse.Namespace) -> int:
         profile = equilibrium_scopes(team, costs, config.scope_bounds)
         drawdowns = equilibrium_drawdowns(team, profile, costs)
         per_agent = {i: drawdowns.per_agent[i] for i in team}
-    elif args.mode == "sp":
+    else:
         profile = planner_scopes(team, costs, config.scope_bounds)
         shared = planner_drawdown(team, (), costs, config.scope_bounds)
         per_agent = {i: shared for i in team}
-    else:
-        raise ValidationError("solve supports --mode eq or sp")
     for i in team:
         sigma = profile.per_agent[i]
         rows.append(
@@ -324,6 +253,7 @@ def cmd_solve(config: ScenarioConfig, args: argparse.Namespace) -> int:
         f"# interior: {str(profile.interior).lower()}",
         f"# degenerate: {str(profile.degenerate).lower()}",
     ]
+    comments += [f"# warning: {warning}" for warning in profile.warnings]
     _emit(rows, comments, args.out)
     return 0
 
@@ -333,15 +263,9 @@ def _schedule_for_mode(config: ScenarioConfig, mode: str):
     costs = list(config.agents)
     if mode == "eq":
         plan = equilibrium_exit_schedule(team, costs, config.scope_bounds)
-        report = equilibrium_payoffs(plan, costs)
-        trace = None
-    elif mode == "sp":
-        plan = optimal_chain(costs, config.scope_bounds)
-        report = chain_welfare(plan, costs)
-        trace = plan.trace
-    else:
-        raise ValidationError(f"unsupported mode {mode!r} for this command")
-    return plan, report, trace
+        return plan, equilibrium_payoffs(plan, costs), None
+    plan = optimal_chain(costs, config.scope_bounds)
+    return plan, chain_welfare(plan, costs), plan.trace
 
 
 def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
@@ -383,27 +307,21 @@ def _dump_samples(outcome: SimOutcome, path: str) -> None:
 
 
 def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    sim = config.sim if config.sim is not None else SimConfig()
+    sim = config.sim or SimConfig()
     if args.seed is not None:
-        sim = SimConfig(
-            dt=sim.dt, n_paths=sim.n_paths, seed=args.seed, t_max=sim.t_max,
-            bridge_correction=sim.bridge_correction, strict=sim.strict,
-        )
+        sim = replace(sim, seed=args.seed)
     if args.strict:
-        sim = SimConfig(
-            dt=sim.dt, n_paths=sim.n_paths, seed=sim.seed, t_max=sim.t_max,
-            bridge_correction=sim.bridge_correction, strict=True,
-        )
+        sim = replace(sim, strict=True)
     costs = list(config.agents)
 
     checks: list[tuple[str, float, float, float]] = []  # name, analytic, mc, se
     if args.mode == "penalty":
-        if config.penalty_alpha is None:
+        if config.penalty is None:
             raise ValidationError("simulate --mode penalty needs a 'penalty' section")
         if len(costs) != 2:
             raise ValidationError("penalty mode requires exactly two agents")
         pconfig = PenaltyConfig(
-            alpha=config.penalty_alpha, costs=(costs[0], costs[1]), bounds=config.scope_bounds
+            alpha=config.penalty.alpha, costs=(costs[0], costs[1]), bounds=config.scope_bounds
         )
         policy = penalty_policy(pconfig)
         analytic = expected_penalty_payoffs(pconfig, policy)
@@ -442,8 +360,7 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         f"# n_paths: {outcome.n_paths}",
         f"# censored: {outcome.censored_count}",
     ]
-    for warning in outcome.warnings:
-        comments.append(f"# warning: {warning}")
+    comments += [f"# warning: {warning}" for warning in outcome.warnings]
     _emit(rows, comments, args.out)
     if args.dump_samples:
         _dump_samples(outcome, args.dump_samples)
@@ -458,7 +375,7 @@ def _scan_grid(spec: ScanSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    scan = config.scan if config.scan is not None else ScanSpec()
+    scan = config.scan or ScanSpec()
     _check_scan_template(config.agents)
     rate = config.agents[0].b
     bounds = config.scope_bounds
@@ -508,8 +425,7 @@ def _render_scan_svg(rows: list[list[str]], steps: int, path: str) -> None:
         y = size - (j + 1) * cell  # beta3 grows upward
         parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write("\n".join(parts) + "\n", path)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -146,6 +146,7 @@ class ScaledPower:
         _check_sigma(sigma)
         s = np.asarray(sigma, dtype=float)
         out = self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
+        _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 
     def ratio(self, sigma):
@@ -250,6 +251,12 @@ class AffineQuadratic:
 
 
 CostSpec = Union[ScaledExponential, ScaledPower, AffineQuadratic]
+# Scenario-file family name of each cost class.
+FAMILIES: dict[str, type] = {
+    "scaled_exponential": ScaledExponential,
+    "scaled_power": ScaledPower,
+    "affine_quadratic": AffineQuadratic,
+}
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,27 @@ from typing import Sequence
 from .costs import CostSpec, ScopeBounds
 from .errors import ValidationError
 from .scopes import ScopeProfile, equilibrium_scopes
-from .simulate import SimConfig, SimOutcome, _Phase, _run
+from .simulate import Phase, SimConfig, SimOutcome, simulate_phases
 
 
 @dataclass(frozen=True)
-class PenaltyConfig:
+class PenaltySpec:
+    """Late-exit reward factor alpha in [0, 1] (the scenario's penalty section)."""
+
     alpha: float
-    costs: tuple[CostSpec, CostSpec]
-    bounds: ScopeBounds
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValidationError("alpha must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class PenaltyConfig(PenaltySpec):
+    costs: tuple[CostSpec, CostSpec]
+    bounds: ScopeBounds
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if len(self.costs) != 2:
             raise ValidationError("the penalty model covers exactly two agents")
 
@@ -136,7 +145,7 @@ def simulate_penalty(config: PenaltyConfig, sim: SimConfig) -> SimOutcome:
         i: costs[i].cost(policy.team_profile.per_agent[i]) for i in (0, 1)
     }
     phases = [
-        _Phase(
+        Phase(
             alliance=(0, 1),
             scope=policy.team_profile.total,
             trigger=policy.trigger,
@@ -148,7 +157,7 @@ def simulate_penalty(config: PenaltyConfig, sim: SimConfig) -> SimOutcome:
     if policy.continues:
         sigma = policy.solo_profile.per_agent[policy.follower]
         phases.append(
-            _Phase(
+            Phase(
                 alliance=(policy.follower,),
                 scope=sigma,
                 trigger=policy.continuation_drawdown,
@@ -156,4 +165,4 @@ def simulate_penalty(config: PenaltyConfig, sim: SimConfig) -> SimOutcome:
                 exit_scale=policy.alpha,
             )
         )
-    return _run(phases, (0, 1), sim)
+    return simulate_phases(phases, (0, 1), sim)

@@ -22,6 +22,8 @@ Alliance = tuple[int, ...]
 
 SCAN_POINTS = 512
 ROOT_TOL = 1e-12
+# Grid values of a gap within this of zero are exact zeros.
+ZERO_TOL = 1e-12
 # A profile counts as interior when first-order residuals are below this
 # (scaled by the magnitude of the matched quantity).
 INTERIOR_TOL = 1e-9
@@ -65,13 +67,13 @@ class ScopeProfile:
 def _roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Sorted, de-duplicated zeros of the vector function ``fn``, and ``fn`` on ``grid``.
 
-    Grid points with |fn| <= 1e-12 are exact zeros.  All other sign changes
+    Grid points with |fn| <= ZERO_TOL are exact zeros.  All other sign changes
     are refined together by k-section: each round evaluates ``fn`` once on
     SCAN_POINTS interior points of every open bracket and keeps the first
     sub-interval with a sign change, until its width is within ROOT_TOL.
     """
     values = fn(grid)
-    zero = np.abs(values) <= 1e-12
+    zero = np.abs(values) <= ZERO_TOL
     roots = list(grid[zero])
     idx = np.flatnonzero(~zero[:-1] & ~zero[1:] & ~(values[:-1] * values[1:] > 0))
     a, b, fa = grid[idx], grid[idx + 1], values[idx]
@@ -143,7 +145,12 @@ def equilibrium_scopes(
             "no consistent scope profile: reply-gap has no zero on "
             f"[{grid[0]:.6g}, {grid[-1]:.6g}] (ends {h_grid[0]:.3g}, {h_grid[-1]:.3g})"
         )
-    if len(roots) > 1:
+    if np.all(np.abs(h_grid) <= ZERO_TOL):
+        warnings.append(
+            f"reply gap is zero on all of [{grid[0]:.6g}, {grid[-1]:.6g}]; "
+            "every total is a fixed point; selected smallest"
+        )
+    elif len(roots) > 1:
         warnings.append(
             "multiple candidate totals " + str([round(r, 12) for r in roots]) + "; selected smallest"
         )

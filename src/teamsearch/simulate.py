@@ -12,7 +12,9 @@ step boundaries.
 RNG contract: path p draws from a counter-based Philox stream keyed by
 (seed, p), in fixed-size chunks, consuming one normal (plus two uniforms in
 bridge mode) per step.  Results are bit-identical for a given config
-regardless of execution order or thread count.
+regardless of execution order or thread count.  A horizon (``t_max``, by
+default 50 expected run lengths) of more than MAX_STEPS steps is refused
+before any path is drawn.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .scopes import Alliance
 
 CHUNK = 128
 CENSOR_WARN_FRACTION = 0.01
+# Largest horizon, in steps, a run may have; checked before any path is drawn.
+# The shipped scenarios, tests and benchmark stay below 10**6 steps.
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,22 @@ class SimConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValidationError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError("dt must be positive and finite")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be at least 1")
-        if self.t_max is not None and not self.t_max > 0.0:
-            raise ValidationError("t_max must be positive")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValidationError("t_max must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
-class _Phase:
+class Phase:
+    """``alliance`` searches at total ``scope`` until the drawdown reaches ``trigger``;
+    a maximum of at least ``threshold`` then ends the run for everyone, and
+    ``exit_scale`` scales the reward of agents whose last phase this is."""
+
     alliance: Alliance
     scope: float
     trigger: float
@@ -125,7 +134,7 @@ class SimOutcome:
         )
 
 
-def _expected_duration(phases: Sequence[_Phase]) -> float:
+def _expected_duration(phases: Sequence[Phase]) -> float:
     total, prev = 0.0, 0.0
     for p in phases:
         total += (p.trigger * p.trigger - prev * prev) / (p.scope * p.scope)
@@ -133,18 +142,22 @@ def _expected_duration(phases: Sequence[_Phase]) -> float:
     return total
 
 
-def _run(phases: Sequence[_Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
+def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
+    """Simulate ``config.n_paths`` paths through ``phases``; payoffs are reported for ``agents``."""
     n = config.n_paths
     n_waves = len(phases)
     dt = config.dt
     sqdt = math.sqrt(dt)
+    t_max = config.t_max if config.t_max is not None else 50.0 * _expected_duration(phases)
+    if not t_max / dt <= MAX_STEPS:
+        raise ValidationError(
+            f"horizon t_max={t_max:.6g} at dt={dt:.6g} exceeds the budget of {MAX_STEPS} steps"
+        )
+    max_steps = max(1, int(math.ceil(t_max / dt)))
     scope = np.array([p.scope for p in phases])
     trig = np.array([p.trigger for p in phases])
     thresh = np.array([p.threshold for p in phases])
     scales = np.array([p.exit_scale for p in phases])
-
-    t_max = config.t_max if config.t_max is not None else 50.0 * _expected_duration(phases)
-    max_steps = max(1, int(math.ceil(t_max / dt)))
 
     seed = int(config.seed)
     gens = [
@@ -256,15 +269,15 @@ def _run(phases: Sequence[_Phase], agents: Alliance, config: SimConfig) -> SimOu
     )
 
 
-def _phases_from_plan(plan, costs: Sequence[CostSpec]) -> list[_Phase]:
+def _phases_from_plan(plan, costs: Sequence[CostSpec]) -> list[Phase]:
     phases = []
     prev = 0.0
     for alliance, profile, drawdown in plan.phases():
         if not math.isfinite(drawdown) or drawdown <= prev:
             raise ValidationError(f"plan drawdown {drawdown} must exceed the previous {prev}")
         rates = {i: costs[i].cost(profile.per_agent[i]) for i in alliance}
-        phases.append(_Phase(alliance=tuple(alliance), scope=profile.total,
-                             trigger=drawdown, rates=rates))
+        phases.append(Phase(alliance=tuple(alliance), scope=profile.total,
+                            trigger=drawdown, rates=rates))
         prev = drawdown
     if not phases:
         raise ValidationError("plan has no phases")
@@ -274,7 +287,7 @@ def _phases_from_plan(plan, costs: Sequence[CostSpec]) -> list[_Phase]:
 def simulate_schedule(plan, costs: Sequence[CostSpec], config: SimConfig) -> SimOutcome:
     """Simulate any phased plan (equilibrium schedule or planner chain)."""
     phases = _phases_from_plan(plan, costs)
-    return _run(phases, phases[0].alliance, config)
+    return simulate_phases(phases, phases[0].alliance, config)
 
 
 @dataclass(frozen=True)
@@ -299,8 +312,8 @@ def stopped_max_distribution_test(
     The maximum of a driftless path stopped at drawdown d is Exp(mean d);
     passing ``null_mean`` overrides the null (e.g. to check the test's power).
     """
-    phases = [_Phase(alliance=(0,), scope=scope, trigger=drawdown, rates={0: 0.0})]
-    outcome = _run(phases, (0,), config)
+    phases = [Phase(alliance=(0,), scope=scope, trigger=drawdown, rates={0: 0.0})]
+    outcome = simulate_phases(phases, (0,), config)
     samples = outcome.wave_M[0]
     samples = samples[~np.isnan(samples)]
     mean = drawdown if null_mean is None else null_mean

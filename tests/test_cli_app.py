@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -248,3 +249,81 @@ def test_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def assert_one_line_error(result):
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("scope_bounds", "lo"), "0.1"),
+        (("scope_bounds", "lo"), True),
+        (("scope_bounds", "lo"), None),
+        (("agents", 0, "family"), ["x"]),
+        (("sim", "t_max"), math.inf),
+        (("sim", "dt"), math.inf),
+    ],
+    ids=["lo_string", "lo_true", "lo_null", "family_list", "t_max_infinity", "dt_infinity"],
+)
+def test_invalid_scenario_value_exits_two(tmp_path, keys, value):
+    doc = quick_sim_doc(base_doc(betas=(1.0,)), n_paths=100)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value  # json writes math.inf as Infinity
+    assert_one_line_error(run_cli("simulate", write_scenario(tmp_path, doc)))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_validate_echo_round_trips(tmp_path, name):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli("validate", str(SCENARIOS / name), "--out", str(first)).returncode == 0
+    assert run_cli("validate", str(first), "--out", str(second)).returncode == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["non_utf8", "directory", "out", "dump_samples", "svg"])
+def test_io_error_exits_two(tmp_path, case):
+    unwritable = str(tmp_path / "no_such_dir" / "file")
+    sim = write_scenario(tmp_path, quick_sim_doc(base_doc(betas=(1.0,)), n_paths=100), "sim.json")
+    scan_doc = base_doc(betas=(1.0, 1.0, 1.0))
+    scan_doc["scan"] = {"steps": 2}
+    scan = write_scenario(tmp_path, scan_doc, "scan.json")
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"agents": "\u00e9"}'.encode("latin-1"))
+    argv = {
+        "non_utf8": ["validate", str(latin1)],
+        "directory": ["validate", str(tmp_path)],
+        "out": ["solve", sim, "--out", unwritable],
+        "dump_samples": ["simulate", sim, "--dump-samples", unwritable],
+        "svg": ["scan", scan, "--out", str(tmp_path / "grid.csv"), "--svg", unwritable],
+    }[case]
+    assert_one_line_error(run_cli(*argv))
+
+
+def test_horizon_over_step_budget_exits_two_quickly(tmp_path):
+    doc = quick_sim_doc(base_doc(betas=(1.0,)), dt=1e-300, n_paths=10)
+    result = subprocess.run(
+        [sys.executable, "-m", "teamsearch", "simulate", write_scenario(tmp_path, doc)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert_one_line_error(result)
+    assert "budget" in result.stderr
+
+
+def test_solve_prints_profile_warnings(tmp_path):
+    doc = {
+        "agents": [{"family": "scaled_power", "a": 1.0, "p": 2.0}],
+        "scope_bounds": {"lo": 0.1, "hi": 10.0},
+    }
+    result = run_cli("solve", write_scenario(tmp_path, doc), "--mode", "eq")
+    assert result.returncode == 0
+    rows, comments = parse_table(result.stdout)
+    assert float(rows[1][1]) == 0.1
+    warnings = [c for c in comments if c.startswith("# warning: ")]
+    assert len(warnings) == 1 and "reply gap is zero" in warnings[0]

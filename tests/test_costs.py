@@ -218,3 +218,5 @@ def test_every_derivative_rejects_non_finite_values():
     with pytest.raises(CostDomainError):
         AffineQuadratic(1e308, 1e308, 1.0).marginal(10.0)
     assert AffineQuadratic(1.0, 0.5, 1.0).marginal(2.0) == 4.5
+    with pytest.raises(CostDomainError):
+        ScaledPower(a=1.0, p=300.0).curvature(100.0)

@@ -16,8 +16,11 @@ from teamsearch.equilibrium import equilibrium_exit_schedule
 from teamsearch.errors import SimulationError, ValidationError
 from teamsearch.scopes import ScopeProfile
 from teamsearch.simulate import (
+    MAX_STEPS,
+    Phase,
     SimConfig,
     simulate_equilibrium_vs_planner,
+    simulate_phases,
     simulate_schedule,
     stopped_max_distribution_test,
 )
@@ -200,3 +203,15 @@ def test_equilibrium_vs_planner_comparison():
     for agent in (0, 1):
         assert abs(cmp_.gap_mean[agent] - analytic_gap / 2.0) <= 3.0 * cmp_.gap_se[agent]
     assert cmp_.total_gap > 0.0
+
+
+def test_non_finite_step_and_horizon_budget_rejected_before_run():
+    for kwargs in ({"dt": math.inf}, {"t_max": math.inf}):
+        with pytest.raises(ValidationError, match="finite"):
+            SimConfig(**kwargs)
+    phases = [Phase(alliance=(0,), scope=1.0, trigger=1.0, rates={0: 0.0})]
+    # 50 expected run lengths of 1.0 at this dt are far over the budget.
+    with pytest.raises(ValidationError, match="budget"):
+        simulate_phases(phases, (0,), SimConfig(dt=50.0 / MAX_STEPS / 2, n_paths=1))
+    with pytest.raises(ValidationError, match="budget"):
+        simulate_phases(phases, (0,), SimConfig(dt=1e-300, t_max=1e10, n_paths=1))

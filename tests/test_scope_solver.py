@@ -279,3 +279,12 @@ def test_root_primitive_matches_scalar_bisection(fn, grid):
     assert len(roots) == len(expected)
     for got, want in zip(roots, expected):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_flat_reply_gap_warns_once_and_keeps_smallest_total():
+    # One p = 2 power agent replies S itself: every total is a fixed point.
+    profile = equilibrium_scopes((0,), [ScaledPower(a=1.0, p=2.0)], WIDE)
+    assert profile.per_agent[0] == WIDE.lo
+    assert len(profile.warnings) == 1
+    assert "reply gap is zero" in profile.warnings[0]
+    assert len(profile.warnings[0]) < 200
