@@ -9,8 +9,8 @@ ints are accepted for floats, and strings, booleans and null are never
 coerced.  ``validate`` echoes the parsed dataclasses.  All tables are
 comma-separated UTF-8 with a header row and 10 significant digits; agent
 labels in wave strings are 1-based.  Exit codes: 0 success, 1
-runtime/numerical failure, 2 invalid scenario, horizon over the step budget,
-or unreadable input / unwritable output.
+runtime/numerical failure, 2 invalid scenario (a scan grid or simulation
+horizon over its budget included), or unreadable input / unwritable output.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ def _spec_from_dict(entry, where: str) -> CostSpec:
     return _build(FAMILIES[family], params, where)
 
 
+# Largest scan grid, in cells (steps**2), a scenario may ask for; like
+# simulate.MAX_STEPS it is checked before any work.  The shipped scan has 96**2.
+MAX_SCAN_CELLS = 10**6
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     beta2_range: tuple[float, float] = (0.0, 24.0)
@@ -120,6 +125,11 @@ class ScanSpec:
                 raise ValueError("beta ranges must be finite with 0 <= lo < hi")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
+        if self.steps**2 > MAX_SCAN_CELLS:
+            raise ValueError(
+                f"steps={self.steps} gives {self.steps**2} cells, over the budget of "
+                f"{MAX_SCAN_CELLS}"
+            )
 
 
 # Optional scenario sections, by key.

@@ -228,13 +228,36 @@ def planner_scopes(
             "no planner multiplier with zero optimality gap on "
             f"[{lam_lo:.6g}, {lam_hi:.6g}] (gap at ends {g_grid[0]:.3g}, {g_grid[-1]:.3g})"
         )
+    lam = roots[0]
+    # Every grid zero is a root, so only several roots can hold a run of zeros.
+    flat = []
     if len(roots) > 1:
+        zero = np.abs(g_grid) <= ZERO_TOL
+        flat = np.flatnonzero(zero[:-1] & zero[1:])
+    if len(flat):
+        # A run of zero gaps is a continuum of optimal multipliers; take the
+        # run's left edge, where the gap leaves zero, refined between grid points.
+        j = flat[0]
+        end = j + int(np.argmin(np.append(zero[j:], False))) - 1
+        edge = lam_grid[j]
+        if j > 0:
+            side = np.sign(g_grid[j - 1])
+            edges, _ = _roots(
+                lambda x: np.where(np.abs(gap_vec(x)) <= ZERO_TOL, -side, side),
+                lam_grid[j - 1:j + 1],
+            )
+            edge = edges[0]
+        lam = min(lam, edge)
+        warnings.append(
+            f"optimality gap is zero for multipliers {edge:.6g} to {lam_grid[end]:.6g}; "
+            "every one is optimal; selected smallest"
+        )
+    elif len(roots) > 1:
         warnings.append(
             "multiple candidate multipliers "
             + str([round(r, 12) for r in roots])
             + "; selected smallest"
         )
-    lam = roots[0]
 
     sig = {i: float(s) for i, s in scopes_at(np.asarray(lam)).items()}
     total = sum(sig.values())

@@ -10,11 +10,22 @@ barrier, which removes the bias in both M and tau; stops still resolve at
 step boundaries.
 
 RNG contract: path p draws from a counter-based Philox stream keyed by
-(seed, p), in fixed-size chunks, consuming one normal (plus two uniforms in
-bridge mode) per step.  Results are bit-identical for a given config
+(seed, p), in chunks of CHUNK steps, consuming one normal (plus two uniforms
+in bridge mode) per step.  Results are bit-identical for a given config
 regardless of execution order or thread count.  A horizon (``t_max``, by
 default 50 expected run lengths) of more than MAX_STEPS steps is refused
 before any path is drawn.
+
+Stepping: the engine advances one RNG chunk at a time.  Live paths are split
+into row tiles of at most TILE paths; each tile is refilled from its paths'
+streams into a tile-sized buffer, so scratch memory is fixed per tile.  The
+whole chunk is then built as (paths x steps) arrays: positions by a
+left-to-right cumulative sum, running maxima by an accumulated maximum, and
+the stop tests column by column.  A path's first firing column ends its
+phase; a path that enters a later wave steps the rest of the chunk in a
+further round, with the columns before its entry masked out.  Every value is
+computed by the same floating-point operations in the same order as a
+step-by-step loop, so results are byte-identical to one.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ from .errors import SimulationError, ValidationError
 from .scopes import Alliance
 
 CHUNK = 128
+# Live paths are stepped through a chunk in row tiles of at most this many
+# paths, which bounds each scratch array at TILE x (CHUNK + 1) values.
+TILE = 128
 CENSOR_WARN_FRACTION = 0.01
 # Largest horizon, in steps, a run may have; checked before any path is drawn.
 # The shipped scenarios, tests and benchmark stay below 10**6 steps.
@@ -172,55 +186,74 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
     wave_M = np.full((n_waves, n), np.nan)
     collapse_wave = np.full(n, -1, dtype=np.int64)
     alive = np.arange(n)
+    next_trig = np.append(trig, math.inf)  # no wave follows the last one
 
     bridge = config.bridge_correction
-    normals = np.empty((n, CHUNK))
-    uniforms = np.empty((n, 2, CHUNK)) if bridge else None
+    normals = np.empty((TILE, CHUNK))
+    uniforms = np.empty((TILE, 2, CHUNK)) if bridge else None
 
-    step = 0
-    while alive.size and step < max_steps:
-        pos = step % CHUNK
-        if pos == 0:
-            for p in alive:
-                normals[p] = gens[p].standard_normal(CHUNK)
+    for c0 in range(0, max_steps, CHUNK):
+        if not alive.size:
+            break
+        width = min(CHUNK, max_steps - c0)
+        for t0 in range(0, alive.size, TILE):
+            rows = alive[t0:t0 + TILE]
+            for i, p in enumerate(rows):
+                gens[p].standard_normal(out=normals[i])
                 if bridge:
-                    uniforms[p] = gens[p].random((2, CHUNK))
-        ph = phase[alive]
-        S = scope[ph]
-        d = trig[ph]
-        Xo = X[alive]
-        Mo = Mx[alive]
-        Xn = Xo + S * sqdt * normals[alive, pos]
-        if bridge:
-            var = S * S * dt
-            u1 = uniforms[alive, 0, pos]
-            u2 = uniforms[alive, 1, pos]
-            # within-step maximum of the bridge from Xo to Xn (inverse CDF)
-            mx = 0.5 * (Xo + Xn + np.sqrt((Xn - Xo) ** 2 - 2.0 * var * np.log(u1)))
-            Mn = np.maximum(Mo, mx)
-            bar = Mo - d
-            cross = np.exp(np.minimum(0.0, -2.0 * (Xo - bar) * (Xn - bar) / var))
-            fired = (Xn <= bar) | (u2 < cross) | (Mn - Xn >= d)
-        else:
-            Mn = np.maximum(Mo, Xn)
-            fired = (Mn - Xn) >= d
-        X[alive] = Xn
-        Mx[alive] = Mn
-        step += 1
-        if fired.any():
-            idx = alive[fired]
-            while idx.size:
-                k = phase[idx]
-                wave_step[k, idx] = step
-                wave_M[k, idx] = Mx[idx]
-                collapse = Mx[idx] >= thresh[k]
-                collapse_wave[idx[collapse]] = k[collapse]
-                phase[idx] = np.where(collapse, n_waves, k + 1)
-                idx = idx[phase[idx] < n_waves]
-                if idx.size:
+                    gens[p].random(out=uniforms[i])
+            loc = np.arange(rows.size)  # each row's slot in the tile buffers
+            start = np.zeros(rows.size, dtype=np.int64)  # first column in its phase
+            # One round per wave a path enters within this chunk.
+            while rows.size:
+                S = scope[phase[rows]][:, None]
+                d = trig[phase[rows]][:, None]
+                before = np.arange(width) < start[:, None]
+                # cumsum adds left to right, so each X equals the step-by-step sum.
+                Xs = np.empty((rows.size, width + 1))
+                Xs[:, 0] = X[rows]
+                Xs[:, 1:] = np.where(before, 0.0, S * sqdt * normals[loc, :width])
+                np.cumsum(Xs, axis=1, out=Xs)
+                Xo, Xn = Xs[:, :-1], Xs[:, 1:]
+                if bridge:
+                    var = S * S * dt
+                    u1 = uniforms[loc, 0, :width]
+                    # within-step maximum of the bridge from Xo to Xn (inverse CDF)
+                    mx = 0.5 * (Xo + Xn + np.sqrt((Xn - Xo) ** 2 - 2.0 * var * np.log(u1)))
+                else:
+                    mx = Xn
+                Ms = np.empty_like(Xs)
+                Ms[:, 0] = Mx[rows]
+                Ms[:, 1:] = np.where(before, -np.inf, mx)
+                np.maximum.accumulate(Ms, axis=1, out=Ms)
+                Mo, Mn = Ms[:, :-1], Ms[:, 1:]
+                fired = Mn - Xn >= d
+                if bridge:
+                    bar = Mo - d
+                    cross = np.exp(np.minimum(0.0, -2.0 * (Xo - bar) * (Xn - bar) / var))
+                    fired |= (Xn <= bar) | (uniforms[loc, 1, :width] < cross)
+                fired &= ~before
+                first = fired.argmax(axis=1)
+                ar = np.arange(rows.size)
+                hit = fired[ar, first]
+                end = np.where(hit, first, width - 1)
+                X[rows] = Xn[ar, end]
+                Mx[rows] = Mn[ar, end]
+                idx, at = rows[hit], c0 + first[hit] + 1
+                while idx.size:
+                    k = phase[idx]
+                    wave_step[k, idx] = at
+                    wave_M[k, idx] = Mx[idx]
+                    collapse = Mx[idx] >= thresh[k]
+                    collapse_wave[idx[collapse]] = k[collapse]
+                    phase[idx] = np.where(collapse, n_waves, k + 1)
                     # overshoot may already satisfy the next trigger
-                    idx = idx[(Mx[idx] - X[idx]) >= trig[phase[idx]]]
-            alive = alive[phase[alive] < n_waves]
+                    again = (Mx[idx] - X[idx]) >= next_trig[phase[idx]]
+                    idx, at = idx[again], at[again]
+                # paths that entered a later wave step the rest of the chunk in it
+                go = hit & (phase[rows] < n_waves) & (first + 1 < width)
+                rows, loc, start = rows[go], loc[go], first[go] + 1
+        alive = alive[phase[alive] < n_waves]
 
     censored = phase < n_waves
     warnings: list[str] = []

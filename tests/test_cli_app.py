@@ -327,3 +327,18 @@ def test_solve_prints_profile_warnings(tmp_path):
     assert float(rows[1][1]) == 0.1
     warnings = [c for c in comments if c.startswith("# warning: ")]
     assert len(warnings) == 1 and "reply gap is zero" in warnings[0]
+
+
+def test_scan_over_cell_budget_exits_two_quickly(tmp_path):
+    template = base_doc(betas=(1.0, 1.0, 1.0))
+    doc = dict(template, scan={"steps": 100_000})
+    result = subprocess.run(
+        [sys.executable, "-m", "teamsearch", "scan", write_scenario(tmp_path, doc)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert_one_line_error(result)
+    assert "budget" in result.stderr
+    # 1000 steps is exactly the 10**6-cell budget
+    for steps, code in ((8, 0), (96, 0), (1000, 0), (1001, 2)):
+        doc = dict(template, scan={"steps": steps})
+        assert run_cli("validate", write_scenario(tmp_path, doc)).returncode == code

@@ -11,14 +11,19 @@ import math
 import numpy as np
 import pytest
 
+from teamsearch import simulate
 from teamsearch.costs import ScaledExponential, ScopeBounds
 from teamsearch.equilibrium import equilibrium_exit_schedule
 from teamsearch.errors import SimulationError, ValidationError
 from teamsearch.scopes import ScopeProfile
 from teamsearch.simulate import (
+    CENSOR_WARN_FRACTION,
+    CHUNK,
     MAX_STEPS,
     Phase,
     SimConfig,
+    SimOutcome,
+    _expected_duration,
     simulate_equilibrium_vs_planner,
     simulate_phases,
     simulate_schedule,
@@ -215,3 +220,234 @@ def test_non_finite_step_and_horizon_budget_rejected_before_run():
         simulate_phases(phases, (0,), SimConfig(dt=50.0 / MAX_STEPS / 2, n_paths=1))
     with pytest.raises(ValidationError, match="budget"):
         simulate_phases(phases, (0,), SimConfig(dt=1e-300, t_max=1e10, n_paths=1))
+
+
+# ---------------------------------------------------------------------------
+# Chunked stepping against the step-at-a-time reference
+
+
+def reference_simulate_phases(phases, agents, config):
+    """The step-at-a-time engine, kept verbatim as a test oracle.
+
+    Each step is one round of numpy calls over all live paths; the chunked
+    engine must reproduce its outcomes bit for bit.
+    """
+    n = config.n_paths
+    n_waves = len(phases)
+    dt = config.dt
+    sqdt = math.sqrt(dt)
+    t_max = config.t_max if config.t_max is not None else 50.0 * _expected_duration(phases)
+    if not t_max / dt <= MAX_STEPS:
+        raise ValidationError(
+            f"horizon t_max={t_max:.6g} at dt={dt:.6g} exceeds the budget of {MAX_STEPS} steps"
+        )
+    max_steps = max(1, int(math.ceil(t_max / dt)))
+    scope = np.array([p.scope for p in phases])
+    trig = np.array([p.trigger for p in phases])
+    thresh = np.array([p.threshold for p in phases])
+    scales = np.array([p.exit_scale for p in phases])
+
+    seed = int(config.seed)
+    gens = [
+        np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
+        for p in range(n)
+    ]
+
+    X = np.zeros(n)
+    Mx = np.zeros(n)
+    phase = np.zeros(n, dtype=np.int64)
+    wave_step = np.full((n_waves, n), -1, dtype=np.int64)
+    wave_M = np.full((n_waves, n), np.nan)
+    collapse_wave = np.full(n, -1, dtype=np.int64)
+    alive = np.arange(n)
+
+    bridge = config.bridge_correction
+    normals = np.empty((n, CHUNK))
+    uniforms = np.empty((n, 2, CHUNK)) if bridge else None
+
+    step = 0
+    while alive.size and step < max_steps:
+        pos = step % CHUNK
+        if pos == 0:
+            for p in alive:
+                normals[p] = gens[p].standard_normal(CHUNK)
+                if bridge:
+                    uniforms[p] = gens[p].random((2, CHUNK))
+        ph = phase[alive]
+        S = scope[ph]
+        d = trig[ph]
+        Xo = X[alive]
+        Mo = Mx[alive]
+        Xn = Xo + S * sqdt * normals[alive, pos]
+        if bridge:
+            var = S * S * dt
+            u1 = uniforms[alive, 0, pos]
+            u2 = uniforms[alive, 1, pos]
+            # within-step maximum of the bridge from Xo to Xn (inverse CDF)
+            mx = 0.5 * (Xo + Xn + np.sqrt((Xn - Xo) ** 2 - 2.0 * var * np.log(u1)))
+            Mn = np.maximum(Mo, mx)
+            bar = Mo - d
+            cross = np.exp(np.minimum(0.0, -2.0 * (Xo - bar) * (Xn - bar) / var))
+            fired = (Xn <= bar) | (u2 < cross) | (Mn - Xn >= d)
+        else:
+            Mn = np.maximum(Mo, Xn)
+            fired = (Mn - Xn) >= d
+        X[alive] = Xn
+        Mx[alive] = Mn
+        step += 1
+        if fired.any():
+            idx = alive[fired]
+            while idx.size:
+                k = phase[idx]
+                wave_step[k, idx] = step
+                wave_M[k, idx] = Mx[idx]
+                collapse = Mx[idx] >= thresh[k]
+                collapse_wave[idx[collapse]] = k[collapse]
+                phase[idx] = np.where(collapse, n_waves, k + 1)
+                idx = idx[phase[idx] < n_waves]
+                if idx.size:
+                    # overshoot may already satisfy the next trigger
+                    idx = idx[(Mx[idx] - X[idx]) >= trig[phase[idx]]]
+            alive = alive[phase[alive] < n_waves]
+
+    censored = phase < n_waves
+    warnings: list[str] = []
+    frac = float(censored.mean())
+    if frac > CENSOR_WARN_FRACTION:
+        msg = f"{frac:.2%} of paths hit the horizon t_max={t_max:.6g} before finishing"
+        if config.strict:
+            raise SimulationError(msg)
+        warnings.append(msg)
+
+    # phase durations per path (steps), then flow costs per agent
+    dur = np.zeros((n_waves, n))
+    start = np.zeros(n, dtype=np.int64)
+    for k in range(n_waves):
+        fired_k = wave_step[k] >= 0
+        end = np.where(fired_k, wave_step[k], np.where(phase == k, max_steps, start))
+        dur[k] = (end - start) * dt
+        start = end
+    rates = np.zeros((len(agents), n_waves))
+    for k, p in enumerate(phases):
+        for i, rate in p.rates.items():
+            rates[agents.index(i), k] = rate
+    flow_costs = rates @ dur  # (n_agents, n_paths)
+
+    last_wave = np.array([max(k for k, p in enumerate(phases) if a in p.alliance) for a in agents])
+    payoffs = np.empty((len(agents), n))
+    cols = np.arange(n)
+    for row, a in enumerate(agents):
+        k_own = last_wave[row]
+        e = np.where((collapse_wave >= 0) & (collapse_wave < k_own), collapse_wave, k_own)
+        fired_e = wave_step[e, cols] >= 0
+        reward_M = np.where(fired_e, wave_M[e, cols], Mx)
+        scale = np.where(fired_e & (e == k_own), scales[k_own], np.where(fired_e, 1.0, scales[k_own]))
+        payoffs[row] = scale * reward_M - flow_costs[row]
+
+    wave_tau = np.where(wave_step >= 0, wave_step * dt, np.nan)
+    return SimOutcome(
+        agents=agents,
+        payoffs=payoffs,
+        wave_tau=wave_tau,
+        wave_M=wave_M,
+        censored=censored,
+        collapse_wave=collapse_wave,
+        config=config,
+        warnings=tuple(warnings),
+    )
+
+
+
+def nested_phases(triggers, scopes, thresholds=None, exit_scales=None):
+    """Wave k is agents k..n-1 at total ``scopes[k]`` until drawdown ``triggers[k]``."""
+    n = len(triggers)
+    thresholds = thresholds or [math.inf] * n
+    exit_scales = exit_scales or [1.0] * n
+    return [
+        Phase(alliance=tuple(range(k, n)), scope=scopes[k], trigger=triggers[k],
+              rates={i: 0.3 + 0.1 * i for i in range(k, n)},
+              exit_scale=exit_scales[k], threshold=thresholds[k])
+        for k in range(n)
+    ]
+
+
+REFERENCE_CASES = {
+    "one_wave_naive": (nested_phases([0.4], [1.0]), SimConfig(dt=1e-3, n_paths=200, seed=1)),
+    "three_waves_bridge": (
+        nested_phases([0.3, 0.5, 0.9], [2.0, 1.2, 0.7]),
+        SimConfig(dt=1e-3, n_paths=300, seed=2, bridge_correction=True),
+    ),
+    "collapse_and_exit_scale": (
+        nested_phases([0.2, 0.6], [1.5, 1.0], thresholds=[0.15, math.inf], exit_scales=[0.8, 1.3]),
+        SimConfig(dt=1e-3, n_paths=257, seed=3, bridge_correction=True),
+    ),
+    "censored_mid_chunk": (
+        nested_phases([1.0], [1.0]),
+        SimConfig(dt=1e-3, n_paths=150, seed=4, t_max=0.1655, bridge_correction=True),
+    ),
+    "double_fire_naive": (
+        nested_phases([0.3, 0.3005, 0.301], [1.0, 1.0, 1.0]),
+        SimConfig(dt=4e-3, n_paths=200, seed=5),
+    ),
+    "double_fire_bridge": (
+        nested_phases([0.3, 0.3005, 0.301], [1.0, 1.0, 1.0]),
+        SimConfig(dt=4e-3, n_paths=200, seed=6, bridge_correction=True),
+    ),
+}
+
+
+def assert_matches_reference(phases, config):
+    agents = phases[0].alliance
+    out = simulate_phases(phases, agents, config)
+    ref = reference_simulate_phases(phases, agents, config)
+    assert out.equals(ref)
+    assert out.warnings == ref.warnings
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_chunked_engine_matches_step_loop_reference(case):
+    phases, config = REFERENCE_CASES[case]
+    out = assert_matches_reference(phases, config)
+    # each case exercises what it is named for
+    if case == "collapse_and_exit_scale":
+        assert (out.collapse_wave == 0).any()
+    if case == "censored_mid_chunk":
+        assert math.ceil(config.t_max / config.dt) % CHUNK != 0
+        assert out.censored.any() and not out.censored.all() and out.warnings
+    if case.startswith("double_fire"):
+        assert (out.wave_tau[0] == out.wave_tau[1]).any()
+        assert (out.wave_tau[0] < out.wave_tau[1]).any()
+
+
+def test_chunked_engine_matches_reference_on_random_phase_sets():
+    rng = np.random.default_rng(20240)
+    for _ in range(20):
+        n_waves = int(rng.integers(1, 4))
+        triggers = list(np.cumsum(rng.uniform(0.02, 0.4, n_waves)))
+        scopes = list(rng.uniform(0.5, 3.0, n_waves))
+        thresholds = [float(rng.uniform(0.1, 1.0)) if rng.random() < 0.3 else math.inf
+                      for _ in range(n_waves)]
+        exit_scales = [float(rng.uniform(0.5, 1.5)) if rng.random() < 0.5 else 1.0
+                       for _ in range(n_waves)]
+        dt = float(rng.choice([5e-4, 1e-3, 4e-3]))
+        config = SimConfig(
+            dt=dt,
+            n_paths=int(rng.integers(1, 300)),
+            seed=int(rng.integers(0, 2**32)),
+            t_max=None if rng.random() < 0.7 else dt * float(rng.uniform(10, 600)),
+            bridge_correction=bool(rng.random() < 0.5),
+        )
+        assert_matches_reference(
+            nested_phases(triggers, scopes, thresholds, exit_scales), config
+        )
+
+
+@pytest.mark.parametrize("tile", [1, 7, simulate.TILE])
+def test_tile_size_leaves_outcome_unchanged(monkeypatch, tile):
+    phases, config = REFERENCE_CASES["collapse_and_exit_scale"]
+    expected = reference_simulate_phases(phases, phases[0].alliance, config)
+    monkeypatch.setattr(simulate, "TILE", tile)
+    out = simulate_phases(phases, phases[0].alliance, config)
+    assert out.equals(expected)
+    assert out.warnings == expected.warnings

@@ -288,3 +288,13 @@ def test_flat_reply_gap_warns_once_and_keeps_smallest_total():
     assert len(profile.warnings) == 1
     assert "reply gap is zero" in profile.warnings[0]
     assert len(profile.warnings[0]) < 200
+
+
+def test_flat_planner_gap_warns_once_and_takes_left_edge():
+    # One p = 2 power agent: 2c = lambda*sigma wherever no bound clips, so
+    # every multiplier in [0.2, 20] is optimal; the smallest gives sigma = lo.
+    profile = planner_scopes((0,), [ScaledPower(a=1.0, p=2.0)], WIDE)
+    assert profile.per_agent[0] == pytest.approx(WIDE.lo, abs=1e-9)
+    assert len(profile.warnings) == 1
+    assert "optimality gap is zero" in profile.warnings[0]
+    assert len(profile.warnings[0]) < 200
