@@ -38,7 +38,13 @@ from .penalty import (
     simulate_penalty,
 )
 from .planner import optimal_chain, planner_drawdown
-from .scopes import equilibrium_scopes, planner_scopes
+from .scopes import (
+    ProfileCache,
+    equilibrium_profiles,
+    equilibrium_scopes,
+    planner_profiles,
+    planner_scopes,
+)
 from .simulate import SimConfig, SimOutcome, simulate_schedule
 from .welfare import chain_welfare, equilibrium_payoffs
 
@@ -392,18 +398,27 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
     beta2s, beta3s = _scan_grid(scan)
     rows = [["beta2", "beta3", "equilibrium", "planner"]]
     for b3 in beta3s:
+        cells = {
+            b2: [ScaledExponential(b=rate), ScaledExponential(b=rate, beta=b2),
+                 ScaledExponential(b=rate, beta=b3)]
+            for b2 in beta2s
+            if b3 > b2 > 1.0
+        }
+        # One memo per grid row, whose cells share sub-alliances.  The agents
+        # get cheaper by index, so both the cascade and the greedy chain use
+        # suffix alliances only: those are solved for the whole row in batched
+        # passes before its cells run (anything else is solved when asked for).
+        problems = [(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))]
+        eq_cache, sp_cache = ProfileCache(equilibrium_scopes), ProfileCache(planner_scopes)
+        eq_cache.prefetch(problems, bounds, equilibrium_profiles)
+        sp_cache.prefetch(problems, bounds, planner_profiles)
         for b2 in beta2s:
-            if not (b3 > b2 > 1.0):
+            if b2 not in cells:
                 rows.append([_fmt(b2), _fmt(b3), "", ""])
                 continue
-            costs = [
-                ScaledExponential(b=rate),
-                ScaledExponential(b=rate, beta=b2),
-                ScaledExponential(b=rate, beta=b3),
-            ]
-            schedule = equilibrium_exit_schedule(range(3), costs, bounds)
+            schedule = equilibrium_exit_schedule(range(3), cells[b2], bounds, eq_cache)
             eq_label = _partition_label([w.exiting for w in schedule.waves])
-            chain = optimal_chain(costs, bounds)
+            chain = optimal_chain(cells[b2], bounds, sp_cache)
             sp_label = _partition_label(_chain_waves(chain.alliances))
             rows.append([_fmt(b2), _fmt(b3), eq_label, sp_label])
     _emit(rows, [], args.out)

@@ -44,13 +44,17 @@ class ScopeBounds:
         return min(max(sigma, self.lo), self.hi)
 
 
+# Scalar arguments (numpy float64 included) skip the array reductions.
 def _check_finite(spec: "CostSpec", value, sigma) -> None:
-    if not np.all(np.isfinite(value)):
-        raise CostDomainError(f"{spec!r} produced a non-finite value at sigma={sigma!r}")
+    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
+        return
+    if np.ndim(sigma):  # name the first offending scope, not the whole array
+        sigma = float(np.asarray(sigma)[~np.isfinite(value)][0])
+    raise CostDomainError(f"{spec!r} produced a non-finite value at sigma={sigma!r}")
 
 
 def _check_sigma(sigma) -> None:
-    if np.any(np.asarray(sigma) < 0):
+    if sigma < 0 if isinstance(sigma, float) else (np.asarray(sigma) < 0).any():
         raise ValueError("scope must be non-negative")
 
 
@@ -132,20 +136,24 @@ class ScaledPower:
 
     def cost(self, sigma):
         _check_sigma(sigma)
-        out = self.a * np.asarray(sigma, dtype=float) ** self.p / self.beta
+        # Overflow to inf is caught by the finiteness check; keep numpy quiet.
+        with np.errstate(over="ignore"):
+            out = self.a * np.asarray(sigma, dtype=float) ** self.p / self.beta
         _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 
     def marginal(self, sigma):
         _check_sigma(sigma)
-        out = self.a * self.p * np.asarray(sigma, dtype=float) ** (self.p - 1.0) / self.beta
+        with np.errstate(over="ignore"):
+            out = self.a * self.p * np.asarray(sigma, dtype=float) ** (self.p - 1.0) / self.beta
         _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 
     def curvature(self, sigma):
         _check_sigma(sigma)
         s = np.asarray(sigma, dtype=float)
-        out = self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
+        with np.errstate(over="ignore"):
+            out = self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
         _check_finite(self, out, sigma)
         return float(out) if np.ndim(sigma) == 0 else out
 

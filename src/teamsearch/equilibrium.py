@@ -83,38 +83,43 @@ def equilibrium_drawdowns(
     return DrawdownSet(alliance=members, per_agent=per_agent, trigger=trigger, first_exiters=first)
 
 
-def _solve(alliance: Alliance, costs: Sequence[CostSpec], bounds: ScopeBounds) -> ScopeProfile:
-    try:
-        return equilibrium_scopes(alliance, costs, bounds)
-    except SolverError as exc:
-        raise SolverError(f"scope solve failed for sub-alliance {alliance}: {exc}") from exc
-
-
 def equilibrium_exit_schedule(
-    team: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+    team: Iterable[int],
+    costs: Sequence[CostSpec],
+    bounds: ScopeBounds,
+    cache: ProfileCache | None = None,
 ) -> ExitSchedule:
     """Deterministic exit-wave schedule for a team via the cascade recursion.
 
     Each wave starts from the binding drawdown of the current alliance and
     grows as long as some remaining agent's recomputed drawdown sits at or
     below that same trigger (she would have to stop immediately as well).
+    ``cache``, a ProfileCache of ``equilibrium_scopes``, may share solved
+    profiles between schedules; by default each schedule solves its
+    alliances once.
     """
     members = as_alliance(team, len(costs))
     if not members:
         raise ValueError("team must be non-empty")
+    cache = cache or ProfileCache(equilibrium_scopes)
 
-    cache = ProfileCache(_solve, costs, bounds)
+    def solved(alliance: Alliance) -> ScopeProfile:
+        try:
+            return cache.profile(alliance, costs, bounds)
+        except SolverError as exc:
+            raise SolverError(f"scope solve failed for sub-alliance {alliance}: {exc}") from exc
+
     waves: list[Wave] = []
     current = members
     prev_trigger = -math.inf
     while current:
-        profile = cache.profile(current)
+        profile = solved(current)
         dset = equilibrium_drawdowns(current, profile, costs)
         d_star = dset.trigger
         exiting = set(dset.first_exiters)
         rest = tuple(i for i in current if i not in exiting)
         while rest:
-            rest_dset = equilibrium_drawdowns(rest, cache.profile(rest), costs)
+            rest_dset = equilibrium_drawdowns(rest, solved(rest), costs)
             pulled = {
                 j
                 for j in rest

@@ -39,9 +39,34 @@ class AllianceChain:
         return zip(self.alliances, self.profiles, self.drawdowns)
 
 
-def _drawdown(cache: ProfileCache, current: Alliance, successor: Alliance) -> float:
+class _Links:
+    """One cost list's planner profiles and C/S^2 by alliance, each found once."""
+
+    def __init__(
+        self, costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
+    ):
+        self.cache = cache or ProfileCache(planner_scopes)
+        self.costs = costs
+        self.bounds = bounds
+        self._profiles: dict[Alliance, ScopeProfile] = {}
+        self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
+
+    def profile(self, alliance: Alliance) -> ScopeProfile:
+        if alliance not in self._profiles:
+            self._profiles[alliance] = self.cache.profile(alliance, self.costs, self.bounds)
+        return self._profiles[alliance]
+
+    def cost_per_speed(self, alliance: Alliance) -> float:
+        if alliance not in self._cost_per_speed:
+            prof = self.profile(alliance)
+            total_cost = sum(self.costs[i].cost(prof.per_agent[i]) for i in alliance)
+            self._cost_per_speed[alliance] = total_cost / (prof.total * prof.total)
+        return self._cost_per_speed[alliance]
+
+
+def _drawdown(links: _Links, current: Alliance, successor: Alliance) -> float:
     exiting = len(current) - len(successor)
-    denom = 2.0 * (cache.cost_per_speed(current) - cache.cost_per_speed(successor))
+    denom = 2.0 * (links.cost_per_speed(current) - links.cost_per_speed(successor))
     if denom == 0.0:
         return math.inf
     return exiting / denom
@@ -64,23 +89,23 @@ def planner_drawdown(
         raise ValueError("current alliance must be non-empty")
     if not set(suc) < set(cur):
         raise ValueError(f"successor {suc} must be a proper subset of {cur}")
-    return _drawdown(ProfileCache(planner_scopes, costs, bounds), cur, suc)
+    return _drawdown(_Links(costs, bounds), cur, suc)
 
 
 def _build_chain(
-    cache: ProfileCache, alliances: Sequence[Alliance], trace: tuple[int, ...] = ()
+    links: _Links, alliances: Sequence[Alliance], trace: tuple[int, ...] = ()
 ) -> AllianceChain:
     drawdowns = []
     for k, alliance in enumerate(alliances):
         successor = alliances[k + 1] if k + 1 < len(alliances) else ()
-        drawdowns.append(_drawdown(cache, alliance, successor))
+        drawdowns.append(_drawdown(links, alliance, successor))
     feasible = all(math.isfinite(d) and d > 0.0 for d in drawdowns) and all(
         a < b for a, b in zip(drawdowns, drawdowns[1:])
     )
     return AllianceChain(
         alliances=tuple(alliances),
         drawdowns=tuple(drawdowns),
-        profiles=tuple(cache.profile(a) for a in alliances),
+        profiles=tuple(links.profile(a) for a in alliances),
         feasible=feasible,
         trace=trace,
     )
@@ -95,7 +120,9 @@ def _check_wellordered(costs: Sequence[CostSpec]) -> None:
         raise ValidationError("cost multipliers must be non-decreasing in agent index")
 
 
-def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
+def greedy_wellordered_chain(
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
+) -> AllianceChain:
     """Optimal chain for proportional costs via the iterative argmax recursion.
 
     Starting from the empty continuation, repeatedly select the suffix
@@ -103,14 +130,14 @@ def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> 
     """
     _check_wellordered(costs)
     n = len(costs)
-    cache = ProfileCache(planner_scopes, costs, bounds)
+    links = _Links(costs, bounds, cache)
     suffix = lambda j: tuple(range(j, n))
 
     picks: list[int] = []
     upper = n  # consider suffixes starting strictly below this index
     successor: Alliance = ()
     while upper > 0:
-        values = [(_drawdown(cache, suffix(j), successor), j) for j in range(upper)]
+        values = [(_drawdown(links, suffix(j), successor), j) for j in range(upper)]
         values.sort(key=lambda t: (-t[0], t[1]))
         if len(values) > 1:
             top, second = values[0][0], values[1][0]
@@ -125,7 +152,7 @@ def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> 
         upper = pick
 
     alliances = [suffix(j) for j in reversed(picks)]
-    return _build_chain(cache, alliances, trace=tuple(picks))
+    return _build_chain(links, alliances, trace=tuple(picks))
 
 
 def enumerate_chains(team: Iterable[int], wellordered: bool = True) -> list[tuple[Alliance, ...]]:
@@ -159,6 +186,7 @@ def brute_force_optimal_chain(
     costs: Sequence[CostSpec],
     bounds: ScopeBounds,
     wellordered: bool | None = None,
+    cache: ProfileCache | None = None,
 ) -> tuple[AllianceChain, WelfareReport]:
     """Welfare-maximal feasible chain by exhaustive enumeration (oracle)."""
     if wellordered is None:
@@ -167,10 +195,10 @@ def brute_force_optimal_chain(
             wellordered = True
         except ValidationError:
             wellordered = False
-    cache = ProfileCache(planner_scopes, costs, bounds)
+    links = _Links(costs, bounds, cache)
     best: tuple[AllianceChain, WelfareReport] | None = None
     for skeleton in enumerate_chains(range(len(costs)), wellordered):
-        chain = _build_chain(cache, skeleton)
+        chain = _build_chain(links, skeleton)
         if not chain.feasible:
             continue
         report = chain_welfare(chain, costs)
@@ -181,9 +209,15 @@ def brute_force_optimal_chain(
     return best
 
 
-def optimal_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
-    """Planner chain: greedy for proportional ordered costs, brute force otherwise."""
+def optimal_chain(
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
+) -> AllianceChain:
+    """Planner chain: greedy for proportional ordered costs, brute force otherwise.
+
+    ``cache``, a ProfileCache of ``planner_scopes``, may share solved profiles
+    between chains; by default each chain solves its alliances once.
+    """
     try:
-        return greedy_wellordered_chain(costs, bounds)
+        return greedy_wellordered_chain(costs, bounds, cache)
     except ValidationError:
-        return brute_force_optimal_chain(costs, bounds, wellordered=False)[0]
+        return brute_force_optimal_chain(costs, bounds, wellordered=False, cache=cache)[0]

@@ -6,17 +6,23 @@ where 2*c/c' matches S, and the fixed point is a zero of
 h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.
+
+Problems are solved in batched passes of (problems x grid) arrays, each
+distinct cost spec evaluated once per round over all its rows; a single solve
+is a pass of one problem.  Each row does the arithmetic of a solve alone, so
+a profile does not depend on its batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .costs import CostSpec, ScopeBounds
-from .errors import SolverError
+from .errors import SolverError, TeamSearchError
 
 Alliance = tuple[int, ...]
 
@@ -27,6 +33,9 @@ ZERO_TOL = 1e-12
 # A profile counts as interior when first-order residuals are below this
 # (scaled by the magnitude of the matched quantity).
 INTERIOR_TOL = 1e-9
+# Most problems one batched pass solves together; it bounds the pass's
+# (problems x SCAN_POINTS) temporaries.
+PASS_ROWS = 16
 
 
 def as_alliance(members: Iterable[int], team_size: int | None = None) -> Alliance:
@@ -64,41 +73,106 @@ class ScopeProfile:
         return np.array([self.per_agent[i] for i in keys], dtype=float)
 
 
-def _roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """Sorted, de-duplicated zeros of the vector function ``fn``, and ``fn`` on ``grid``.
+def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
+    """Sorted, de-duplicated zeros of ``fn`` in each row of ``grid``, and ``fn`` on ``grid``.
+
+    ``grid`` holds one grid per row, and ``fn(points, rows)`` evaluates the
+    function of row ``rows[j]`` on ``points[j]``.  A 1-D ``grid`` is one row
+    of a function of the points alone; its zeros and values are returned.
 
     Grid points with |fn| <= ZERO_TOL are exact zeros.  All other sign changes
-    are refined together by k-section: each round evaluates ``fn`` once on
-    SCAN_POINTS interior points of every open bracket and keeps the first
-    sub-interval with a sign change, until its width is within ROOT_TOL.
+    of all rows are refined together by k-section: each round evaluates ``fn``
+    once on SCAN_POINTS interior points of every open bracket and keeps the
+    first sub-interval with a sign change, until its width is within ROOT_TOL.
     """
-    values = fn(grid)
+    if grid.ndim == 1:
+        roots, values = _roots(lambda x, rows: fn(x.ravel()).reshape(x.shape), grid[None])
+        return roots[0], values[0]
+    values = fn(grid, np.arange(len(grid)))
     zero = np.abs(values) <= ZERO_TOL
-    roots = list(grid[zero])
-    idx = np.flatnonzero(~zero[:-1] & ~zero[1:] & ~(values[:-1] * values[1:] > 0))
-    a, b, fa = grid[idx], grid[idx + 1], values[idx]
+    found_rows, found = [np.nonzero(zero)[0]], [grid[zero]]
+    row, col = np.nonzero(~zero[:, :-1] & ~zero[:, 1:] & ~(values[:, :-1] * values[:, 1:] > 0))
+    a, b, fa = grid[row, col], grid[row, col + 1], values[row, col]
     frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
     while True:
         mid = 0.5 * (a + b)
         done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
-        roots.extend(mid[done])
-        a, b, fa = a[~done], b[~done], fa[~done]
+        found_rows.append(row[done])
+        found.append(mid[done])
+        a, b, fa, row = a[~done], b[~done], fa[~done], row[~done]
         if not a.size:
             break
-        pts = np.column_stack([a, a[:, None] + (b - a)[:, None] * frac, b])
+        inner = a[:, None] + (b - a)[:, None] * frac
         # The last column stands in for the right end, where the sign differs.
-        f = np.column_stack([fn(pts[:, 1:-1].ravel()).reshape(len(a), SCAN_POINTS), -fa])
+        f = np.column_stack([fn(inner, row), -fa])
         k = np.argmax((f == 0.0) | (fa[:, None] * f < 0), axis=1)
-        rows = np.arange(len(a))
-        exact = f[rows, k] == 0.0
-        roots.extend(pts[rows, k + 1][exact])
-        a, b, fa = pts[rows, k][~exact], pts[rows, k + 1][~exact], fa[~exact]
-    roots = sorted(float(r) for r in roots)
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped, values
+        pts = np.column_stack([a, inner, b])
+        i = np.arange(len(a))
+        exact = f[i, k] == 0.0
+        found_rows.append(row[exact])
+        found.append(pts[i, k + 1][exact])
+        a, b, fa, row = pts[i, k][~exact], pts[i, k + 1][~exact], fa[~exact], row[~exact]
+    roots: list[list[float]] = [[] for _ in grid]
+    for r, x in zip(np.concatenate(found_rows).tolist(), np.concatenate(found).tolist()):
+        roots[r].append(x)
+    for r, xs in enumerate(roots):
+        deduped: list[float] = []
+        for x in sorted(xs):
+            if not deduped or x - deduped[-1] > 1e-9 * max(1.0, abs(x)):
+                deduped.append(x)
+        roots[r] = deduped
+    return roots, values
+
+
+def _slots(terms: list[list]) -> list[tuple[list, np.ndarray | None]]:
+    """Per term position: the distinct terms of all rows there, and each row's
+    index among them (-1: none), or None when every row has the one same term."""
+    slots = []
+    for k in range(max(map(len, terms))):
+        distinct: dict = {}
+        ids = [distinct.setdefault(t[k], len(distinct)) if k < len(t) else -1 for t in terms]
+        slots.append((list(distinct), None if ids == [0] * len(ids) else np.array(ids)))
+    return slots
+
+
+def _by_term(slots: list[tuple[list, np.ndarray | None]], rows: np.ndarray):
+    """Per term position: the ``rows`` entries with a term there, ordered so each
+    term's entries are contiguous, and (term, slice of that order) per present term.
+
+    Accumulating position by position adds each row's terms in that row's order.
+    """
+    for distinct, ids in slots:
+        if ids is None:
+            yield slice(None), [(distinct[0], slice(None))]
+            continue
+        at = ids[rows]
+        order = np.argsort(at, kind="stable")
+        cuts = np.searchsorted(at[order], np.arange(len(distinct) + 1)).tolist()
+        yield order[cuts[0]:], [
+            (term, slice(lo - cuts[0], hi - cuts[0]))
+            for term, lo, hi in zip(distinct, cuts, cuts[1:])
+            if hi > lo
+        ]
+
+
+def _member_specs(problems) -> list[dict[int, CostSpec]]:
+    """Each (alliance, costs) problem's members, sorted, mapped to their cost specs."""
+    out = [{i: costs[i] for i in as_alliance(alliance, len(costs))} for alliance, costs in problems]
+    if not all(out):
+        raise ValueError("alliance must be non-empty")
+    return out
+
+
+def _in_passes(solve_pass, problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
+    """``solve_pass`` over passes of at most PASS_ROWS problems; a pass that raises gives Nones."""
+    out: list[ScopeProfile | None] = []
+    for start in range(0, len(problems), PASS_ROWS):
+        part = problems[start:start + PASS_ROWS]
+        try:
+            out += solve_pass(part, bounds)
+        except (TeamSearchError, ValueError):
+            out += [None] * len(part)
+    return out
 
 
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
@@ -114,32 +188,34 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
     return np.where(np.isfinite(matched), clipped, fallback)
 
 
-def equilibrium_scopes(
-    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
+    rows = _member_specs(problems)
+    n = np.array([len(specs) for specs in rows])
+    grids = np.linspace(n * bounds.lo, n * bounds.hi, SCAN_POINTS, axis=1)
+    # Agents with equal specs reply alike: one term (spec, count) per distinct spec.
+    slots = _slots([list(Counter(specs.values()).items()) for specs in rows])
+
+    def reply_gap(totals: np.ndarray, at: np.ndarray) -> np.ndarray:
+        acc = np.zeros_like(totals)
+        for order, terms in _by_term(slots, at):
+            x = totals[order]
+            reply = np.empty_like(x)
+            for (spec, cnt), part in terms:
+                reply[part] = cnt * _reply_grid(spec, bounds, x[part])
+            acc[order] += reply
+        acc -= totals
+        return acc
+
+    roots, gaps = _roots(reply_gap, grids)
+    return [_equilibrium_profile(*row, bounds) for row in zip(rows, grids, roots, gaps)]
+
+
+def _equilibrium_profile(
+    specs: dict[int, CostSpec], grid: np.ndarray, roots: list[float], h_grid: np.ndarray,
+    bounds: ScopeBounds,
 ) -> ScopeProfile:
-    """Solve the within-alliance equilibrium scope system with bound clipping.
-
-    Constant-ratio agents (exponential costs) whose ratio equals the solved
-    total have indeterminate individual scopes; the slack left by all other
-    agents is split equally among them and the profile is flagged degenerate
-    when two or more agents share it.
-    """
-    members = as_alliance(alliance, len(costs))
-    if not members:
-        raise ValueError("alliance must be non-empty")
-    n = len(members)
-    specs = {i: costs[i] for i in members}
+    members = tuple(specs)
     warnings: list[str] = []
-
-    grid = np.linspace(n * bounds.lo, n * bounds.hi, SCAN_POINTS)
-    counts: dict[CostSpec, int] = {}
-    for spec in specs.values():
-        counts[spec] = counts.get(spec, 0) + 1
-
-    def reply_gap(totals: np.ndarray) -> np.ndarray:
-        return sum(cnt * _reply_grid(spec, bounds, totals) for spec, cnt in counts.items()) - totals
-
-    roots, h_grid = _roots(reply_gap, grid)
     if not roots:
         raise SolverError(
             "no consistent scope profile: reply-gap has no zero on "
@@ -196,37 +272,61 @@ def equilibrium_scopes(
     )
 
 
-def planner_scopes(
+def equilibrium_scopes(
     alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
 ) -> ScopeProfile:
-    """Solve the planner's common-marginal-cost scope system for one alliance."""
-    members = as_alliance(alliance, len(costs))
-    if not members:
-        raise ValueError("alliance must be non-empty")
-    specs = {i: costs[i] for i in members}
+    """Solve the within-alliance equilibrium scope system with bound clipping.
+
+    Constant-ratio agents (exponential costs) whose ratio equals the solved
+    total have indeterminate individual scopes; the slack left by all other
+    agents is split equally among them and the profile is flagged degenerate
+    when two or more agents share it.
+    """
+    return _equilibrium_pass([(alliance, costs)], bounds)[0]
+
+
+def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
+    rows = _member_specs(problems)
+    lam_lo = [0.999 * min(spec.marginal(bounds.lo) for spec in specs.values()) for specs in rows]
+    lam_hi = [1.001 * max(spec.marginal(bounds.hi) for spec in specs.values()) for specs in rows]
+    grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
+    slots = _slots([list(specs.values()) for specs in rows])
+
+    def gap(lam: np.ndarray, at: np.ndarray) -> np.ndarray:
+        cost_sum, scope_sum = np.zeros_like(lam), np.zeros_like(lam)
+        for order, terms in _by_term(slots, at):
+            x = lam[order]
+            sig, cost = np.empty_like(x), np.empty_like(x)
+            for spec, part in terms:
+                sig[part] = np.clip(
+                    np.asarray(spec.inverse_marginal(x[part]), dtype=float), bounds.lo, bounds.hi
+                )
+                cost[part] = spec.cost(sig[part])
+            cost_sum[order] += cost
+            scope_sum[order] += sig
+        cost_sum *= 2.0
+        scope_sum *= lam
+        cost_sum -= scope_sum
+        return cost_sum
+
+    roots, gaps = _roots(gap, grids)
+    return [
+        _planner_profile(specs, grid, roots[r], gaps[r], bounds, lambda x, at, r=r: gap(x, at + r))
+        for r, (specs, grid) in enumerate(zip(rows, grids))
+    ]
+
+
+def _planner_profile(
+    specs: dict[int, CostSpec], lam_grid: np.ndarray, roots: list[float], g_grid: np.ndarray,
+    bounds: ScopeBounds, gap,
+) -> ScopeProfile:
+    members = tuple(specs)
     warnings: list[str] = []
-
-    lam_lo = 0.999 * min(spec.marginal(bounds.lo) for spec in specs.values())
-    lam_hi = 1.001 * max(spec.marginal(bounds.hi) for spec in specs.values())
-    lam_grid = np.geomspace(lam_lo, lam_hi, SCAN_POINTS)
-
-    def scopes_at(lam) -> dict[int, np.ndarray]:
-        return {
-            i: np.clip(np.asarray(spec.inverse_marginal(lam), dtype=float), bounds.lo, bounds.hi)
-            for i, spec in specs.items()
-        }
-
-    def gap_vec(lam: np.ndarray) -> np.ndarray:
-        sig = scopes_at(lam)
-        cost_sum = sum(np.asarray(specs[i].cost(sig[i])) for i in members)
-        scope_sum = sum(sig[i] for i in members)
-        return 2.0 * cost_sum - lam * scope_sum
-
-    roots, g_grid = _roots(gap_vec, lam_grid)
     if not roots:
         raise SolverError(
             "no planner multiplier with zero optimality gap on "
-            f"[{lam_lo:.6g}, {lam_hi:.6g}] (gap at ends {g_grid[0]:.3g}, {g_grid[-1]:.3g})"
+            f"[{lam_grid[0]:.6g}, {lam_grid[-1]:.6g}] "
+            f"(gap at ends {g_grid[0]:.3g}, {g_grid[-1]:.3g})"
         )
     lam = roots[0]
     # Every grid zero is a root, so only several roots can hold a run of zeros.
@@ -243,10 +343,10 @@ def planner_scopes(
         if j > 0:
             side = np.sign(g_grid[j - 1])
             edges, _ = _roots(
-                lambda x: np.where(np.abs(gap_vec(x)) <= ZERO_TOL, -side, side),
-                lam_grid[j - 1:j + 1],
+                lambda x, at: np.where(np.abs(gap(x, at)) <= ZERO_TOL, -side, side),
+                lam_grid[None, j - 1:j + 1],
             )
-            edge = edges[0]
+            edge = edges[0][0]
         lam = min(lam, edge)
         warnings.append(
             f"optimality gap is zero for multipliers {edge:.6g} to {lam_grid[end]:.6g}; "
@@ -259,7 +359,11 @@ def planner_scopes(
             + "; selected smallest"
         )
 
-    sig = {i: float(s) for i, s in scopes_at(np.asarray(lam)).items()}
+    sig = {
+        i: float(np.clip(np.asarray(spec.inverse_marginal(np.asarray(lam)), dtype=float),
+                         bounds.lo, bounds.hi))
+        for i, spec in specs.items()
+    }
     total = sum(sig.values())
     residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
     if residual > 1e-10 * max(1.0, lam * total):
@@ -277,27 +381,54 @@ def planner_scopes(
     )
 
 
+def planner_scopes(
+    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+) -> ScopeProfile:
+    """Solve the planner's common-marginal-cost scope system for one alliance."""
+    return _planner_pass([(alliance, costs)], bounds)[0]
+
+
+def equilibrium_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
+    """``equilibrium_scopes`` of each (alliance, costs) problem, solved in batched
+    passes of at most PASS_ROWS; a pass that raises gives None for its problems."""
+    return _in_passes(_equilibrium_pass, problems, bounds)
+
+
+def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
+    """``planner_scopes`` of each (alliance, costs) problem, batched as ``equilibrium_profiles``."""
+    return _in_passes(_planner_pass, problems, bounds)
+
+
 class ProfileCache:
-    """Profiles from ``solve(alliance, costs, bounds)`` and their C/S^2, once per alliance."""
+    """Profiles from ``solve(alliance, costs, bounds)``, each solved once.
 
-    def __init__(self, solve, costs: Sequence[CostSpec], bounds: ScopeBounds):
+    Entries are keyed by (alliance, member specs, bounds), all that a solve
+    reads, so one cache serves any number of cost lists.
+    """
+
+    def __init__(self, solve):
         self.solve = solve
-        self.costs = costs
-        self.bounds = bounds
-        self._profiles: dict[Alliance, ScopeProfile] = {}
-        self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
+        self._profiles: dict[tuple, ScopeProfile] = {}
 
-    def profile(self, alliance: Alliance) -> ScopeProfile:
-        if alliance not in self._profiles:
-            self._profiles[alliance] = self.solve(alliance, self.costs, self.bounds)
-        return self._profiles[alliance]
+    def profile(
+        self, alliance: Alliance, costs: Sequence[CostSpec], bounds: ScopeBounds
+    ) -> ScopeProfile:
+        key = (alliance, tuple(costs[i] for i in alliance), bounds)
+        if key not in self._profiles:
+            self._profiles[key] = self.solve(alliance, costs, bounds)
+        return self._profiles[key]
 
-    def cost_per_speed(self, alliance: Alliance) -> float:
-        if alliance not in self._cost_per_speed:
-            prof = self.profile(alliance)
-            total_cost = sum(self.costs[i].cost(prof.per_agent[i]) for i in alliance)
-            self._cost_per_speed[alliance] = total_cost / (prof.total * prof.total)
-        return self._cost_per_speed[alliance]
+    def prefetch(self, problems, bounds: ScopeBounds, solve_many) -> None:
+        """Solve the uncached (alliance, costs) problems together by ``solve_many``.
+
+        A problem it gives None for is left to ``profile``, which solves it
+        alone and so raises its error as that solve would.
+        """
+        todo = {(a, tuple(c[i] for i in a), bounds): (a, c) for a, c in problems}
+        todo = {key: problem for key, problem in todo.items() if key not in self._profiles}
+        for key, prof in zip(list(todo), solve_many(list(todo.values()), bounds)):
+            if prof is not None:
+                self._profiles[key] = prof
 
 
 def interior_capacity(

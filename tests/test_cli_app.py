@@ -342,3 +342,49 @@ def test_scan_over_cell_budget_exits_two_quickly(tmp_path):
     for steps, code in ((8, 0), (96, 0), (1000, 0), (1001, 2)):
         doc = dict(template, scan={"steps": steps})
         assert run_cli("validate", write_scenario(tmp_path, doc)).returncode == code
+
+
+def test_cost_domain_error_is_one_line(tmp_path):
+    doc = {
+        "agents": [{"family": "scaled_power", "a": 1.0, "p": 300.0}],
+        "scope_bounds": {"lo": 0.1, "hi": 100.0},
+    }
+    result = run_cli("validate", write_scenario(tmp_path, doc))
+    assert_one_line_error(result)
+    assert "non-finite value at sigma=10.6894" in result.stderr
+
+
+def test_scan_matches_per_cell_reference_loop(tmp_path):
+    # Cells straddle beta2 = 1, e^(1/3), beta3 = e^(4/3) and beta3 = e*beta2,
+    # so every exit pattern occurs; the scan's batched passes and per-row memo
+    # must give what each cell gives solved on its own.
+    from teamsearch.costs import ScaledExponential, ScopeBounds
+    from teamsearch.equilibrium import equilibrium_exit_schedule
+    from teamsearch.planner import optimal_chain
+
+    lo2, hi2, lo3, hi3, steps = 0.6, 2.6, 1.0, 7.0, 12
+    doc = base_doc(betas=(1.0, 1.0, 1.0))
+    doc["scan"] = {"beta2_range": [lo2, hi2], "beta3_range": [lo3, hi3], "steps": steps}
+    result = run_cli("scan", write_scenario(tmp_path, doc))
+    assert result.returncode == 0 and result.stderr == ""
+
+    def label(waves):
+        return "".join("{" + ",".join(str(i + 1) for i in sorted(w)) + "}" for w in waves)
+
+    bounds = ScopeBounds(0.1, 10.0)
+    idx = [float(i) for i in range(1, steps + 1)]
+    expected = [["beta2", "beta3", "equilibrium", "planner"]]
+    for b3 in [lo3 + i * (hi3 - lo3) / steps for i in idx]:
+        for b2 in [lo2 + i * (hi2 - lo2) / steps for i in idx]:
+            cell = ["%.10g" % b2, "%.10g" % b3, "", ""]
+            if b3 > b2 > 1.0:
+                costs = [ScaledExponential(b=1.0, beta=beta) for beta in (1.0, b2, b3)]
+                schedule = equilibrium_exit_schedule(range(3), costs, bounds)
+                chain = optimal_chain(costs, bounds)
+                links = zip(chain.alliances, chain.alliances[1:] + ((),))
+                cell[2:] = [label(w.exiting for w in schedule.waves),
+                            label(set(a) - set(b) for a, b in links)]
+            expected.append(cell)
+    rows, _ = parse_table(result.stdout)
+    assert rows == expected
+    assert {row[2] for row in rows[1:]} == {"", "{1,2,3}", "{1,2}{3}", "{1}{2,3}", "{1}{2}{3}"}

@@ -220,3 +220,29 @@ def test_every_derivative_rejects_non_finite_values():
     assert AffineQuadratic(1.0, 0.5, 1.0).marginal(2.0) == 4.5
     with pytest.raises(CostDomainError):
         ScaledPower(a=1.0, p=300.0).curvature(100.0)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [float, np.float64, np.array, lambda v: np.array([1.0, v])],
+    ids=["float", "float64", "0d_array", "1d_array"],
+)
+def test_guards_reject_bad_scopes_in_every_input_form(wrap):
+    # Scalars take a fast path past the array reductions; it must accept and
+    # reject exactly what they do.
+    specs = (ScaledExponential(b=1.0), ScaledPower(a=1.0, p=3.0), AffineQuadratic(1.0, 0.5, 1.0))
+    for spec in specs:
+        for method in ("cost", "marginal"):
+            evaluate = getattr(spec, method)
+            with pytest.raises(ValueError, match="non-negative"):
+                evaluate(wrap(-0.5))
+            for bad in (math.inf, math.nan):
+                with pytest.raises(CostDomainError):
+                    evaluate(wrap(bad))
+            assert np.all(np.isfinite(evaluate(wrap(0.0))))
+    # Power overflow reaches the guard without a numpy RuntimeWarning (which
+    # the test configuration turns into an error), named by one scope value.
+    for method in ("cost", "marginal", "curvature"):
+        with pytest.raises(CostDomainError) as info:
+            getattr(ScaledPower(a=1.0, p=300.0), method)(wrap(100.0))
+        assert "\n" not in str(info.value)

@@ -3,16 +3,32 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from teamsearch.costs import AffineQuadratic, ScaledExponential, ScaledPower, ScopeBounds
-from teamsearch.errors import SolverError
+import teamsearch.scopes as scopes_module
+from teamsearch.costs import (
+    AffineQuadratic,
+    CostSpec,
+    ScaledExponential,
+    ScaledPower,
+    ScopeBounds,
+)
+from teamsearch.errors import SolverError, TeamSearchError
 from teamsearch.scopes import (
+    INTERIOR_TOL,
+    ROOT_TOL,
+    SCAN_POINTS,
+    ZERO_TOL,
+    ProfileCache,
+    ScopeProfile,
     as_alliance,
+    equilibrium_profiles,
     equilibrium_scopes,
     interior_capacity,
+    planner_profiles,
     planner_scopes,
 )
 
@@ -298,3 +314,363 @@ def test_flat_planner_gap_warns_once_and_takes_left_edge():
     assert len(profile.warnings) == 1
     assert "optimality gap is zero" in profile.warnings[0]
     assert len(profile.warnings[0]) < 200
+
+
+def _problem_sets(seed):
+    """Seeded (bounds, problems) sets of (alliance, costs) over all three families.
+
+    Each set mixes random teams (repeated specs, bounds that bind) with fixed
+    cases of flat gaps, several roots and no root.
+    """
+    rng = np.random.default_rng(seed)
+
+    def spec():
+        family = rng.integers(3)
+        if family == 0:
+            return ScaledExponential(b=float(rng.choice([0.5, 1.0, 2.0])),
+                                     beta=float(rng.choice([1.0, rng.uniform(1.0, 20.0)])))
+        if family == 1:
+            return ScaledPower(a=float(rng.uniform(0.2, 3.0)), p=float(rng.choice([2.0, 3.0, 4.5])))
+        return AffineQuadratic(float(rng.uniform(0.1, 3.0)), float(rng.choice([0.0, 1.0])),
+                               float(rng.uniform(0.05, 3.0)))
+
+    fixed = {
+        WIDE: [((0,), [ScaledPower(a=1.0, p=2.0)]), ((0,), [AffineQuadratic(1.0, 0.0, 1.0)]),
+               ((0, 1), [AffineQuadratic(1.0, 0.0, 1.0)] * 2)],
+        ScopeBounds(0.5, 2.5): [
+            ((0, 1), [AffineQuadratic(0.5, 0.5, 1.0), ScaledPower(a=1.0, p=2.0)]),
+        ],
+        ScopeBounds(0.1, 0.9): [((0, 1, 2), [AffineQuadratic(1.0, 0.0, 1.0)] * 3)],
+    }
+    for bounds, problems in fixed.items():
+        problems = list(problems)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            shared = spec()
+            costs = [shared if rng.random() < 0.4 else spec() for _ in range(n)]
+            size = int(rng.integers(1, n + 1))
+            problems.append((as_alliance(rng.choice(n, size=size, replace=False)), costs))
+        order = rng.permutation(len(problems))
+        yield bounds, [problems[k] for k in order]
+
+
+def _solve_or_error(solve, alliance, costs, bounds):
+    try:
+        return solve(alliance, costs, bounds)
+    except (TeamSearchError, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("pass_rows", [1, 3, None])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
+    if pass_rows is not None:
+        monkeypatch.setattr(scopes_module, "PASS_ROWS", pass_rows)
+    rows = scopes_module.PASS_ROWS
+    seen = set()
+    for bounds, problems in _problem_sets(seed):
+        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
+                            (planner_scopes, planner_profiles)):
+            # A single solve is a pass of one; it must equal the pre-batching solver.
+            single = [_solve_or_error(solve, a, c, bounds) for a, c in problems]
+            reference = REFERENCE[solve]
+            for (a, c), alone in zip(problems, single):
+                want = _solve_or_error(reference, a, c, bounds)
+                if isinstance(want, Exception):
+                    assert (type(alone), str(alone)) == (type(want), str(want))
+                else:
+                    assert alone == want
+            batched = many(problems, bounds)
+            assert len(batched) == len(problems)
+            for start in range(0, len(problems), rows):
+                part = single[start:start + rows]
+                failed = any(isinstance(s, Exception) for s in part)
+                for alone, together in zip(part, batched[start:start + rows]):
+                    # A pass that raises stores nothing; otherwise every field
+                    # (per_agent, total, warnings, residual, ...) is equal.
+                    assert together is None if failed else together == alone
+            for s in single:
+                if isinstance(s, Exception):
+                    seen.add("error")
+                    continue
+                seen.update(w.split(" ")[0] for w in s.warnings)
+                if any(v in (bounds.lo, bounds.hi) for v in s.per_agent.values()):
+                    seen.add("bound")
+    assert seen >= {"error", "bound", "multiple", "reply", "optimality"}
+
+
+def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
+    # Profiles can agree while gap values differ in the last bit (the roots
+    # rarely move); the grids themselves must match, so each row's sums must
+    # run in that problem's own order.
+    this = sys.modules[__name__]
+    captured = {"batched": [], "reference": []}
+
+    def capturing(real, into):
+        def roots(fn, grid):
+            found, values = real(fn, grid)
+            if grid.shape[-1] == SCAN_POINTS:
+                into.extend(np.atleast_2d(values))
+            return found, values
+        return roots
+
+    monkeypatch.setattr(scopes_module, "_roots",
+                        capturing(scopes_module._roots, captured["batched"]))
+    monkeypatch.setattr(this, "_reference_roots",
+                        capturing(_reference_roots, captured["reference"]))
+    for bounds, problems in _problem_sets(3):
+        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
+                            (planner_scopes, planner_profiles)):
+            solvable = [
+                (a, c) for a, c in problems
+                if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
+            ]
+            captured["batched"].clear()
+            captured["reference"].clear()
+            for a, c in solvable:
+                REFERENCE[solve](a, c, bounds)
+            assert all(p is not None for p in many(solvable, bounds))
+            assert len(captured["batched"]) == len(captured["reference"]) == len(solvable)
+            for got, want in zip(captured["batched"], captured["reference"]):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_prefetch_leaves_failed_problems_to_a_single_solve():
+    good = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
+    bad = [AffineQuadratic(1.0, 0.0, 1.0)]
+    cache = ProfileCache(equilibrium_scopes)
+    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], WIDE, equilibrium_profiles)
+    with pytest.raises(SolverError) as batched:
+        cache.profile((0,), bad, WIDE)
+    with pytest.raises(SolverError) as alone:
+        equilibrium_scopes((0,), bad, WIDE)
+    assert str(batched.value) == str(alone.value)
+    # The memo is keyed by member specs and bounds, so another cost list
+    # reuses a profile and other bounds do not.
+    assert cache.profile((0,), [good[0], bad[0]], WIDE) is cache.profile((0,), good, WIDE)
+    narrow = ScopeBounds(0.1, 1.5)
+    assert cache.profile((0,), good, narrow) == equilibrium_scopes((0,), good, narrow)
+    assert cache.profile((0,), good, narrow) != cache.profile((0,), good, WIDE)
+
+
+# The single-problem solvers as they were before batched passes, kept
+# verbatim as the reference that every batched or single solve must equal
+# bit for bit.
+
+def _reference_roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Sorted, de-duplicated zeros of the vector function ``fn``, and ``fn`` on ``grid``.
+
+    Grid points with |fn| <= ZERO_TOL are exact zeros.  All other sign changes
+    are refined together by k-section: each round evaluates ``fn`` once on
+    SCAN_POINTS interior points of every open bracket and keeps the first
+    sub-interval with a sign change, until its width is within ROOT_TOL.
+    """
+    values = fn(grid)
+    zero = np.abs(values) <= ZERO_TOL
+    roots = list(grid[zero])
+    idx = np.flatnonzero(~zero[:-1] & ~zero[1:] & ~(values[:-1] * values[1:] > 0))
+    a, b, fa = grid[idx], grid[idx + 1], values[idx]
+    frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
+    while True:
+        mid = 0.5 * (a + b)
+        done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
+        roots.extend(mid[done])
+        a, b, fa = a[~done], b[~done], fa[~done]
+        if not a.size:
+            break
+        pts = np.column_stack([a, a[:, None] + (b - a)[:, None] * frac, b])
+        # The last column stands in for the right end, where the sign differs.
+        f = np.column_stack([fn(pts[:, 1:-1].ravel()).reshape(len(a), SCAN_POINTS), -fa])
+        k = np.argmax((f == 0.0) | (fa[:, None] * f < 0), axis=1)
+        rows = np.arange(len(a))
+        exact = f[rows, k] == 0.0
+        roots.extend(pts[rows, k + 1][exact])
+        a, b, fa = pts[rows, k][~exact], pts[rows, k + 1][~exact], fa[~exact]
+    roots = sorted(float(r) for r in roots)
+    deduped: list[float] = []
+    for r in roots:
+        if not deduped or r - deduped[-1] > 1e-9 * max(1.0, abs(r)):
+            deduped.append(r)
+    return deduped, values
+
+
+def _reference_reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
+    """Vectorized best-reply scope for one agent across candidate totals."""
+    rc = spec.ratio_constant
+    if rc is not None:
+        return np.where(rc > totals, bounds.hi, bounds.lo)
+    matched = np.asarray(spec.scope_at_ratio(totals), dtype=float)
+    # No scope matches the ratio: the value is monotone in scope, so the
+    # agent runs to whichever bound the sign of (ratio - S) pushes toward.
+    fallback = np.where(np.asarray(spec.ratio(bounds.hi)) > totals, bounds.hi, bounds.lo)
+    clipped = np.clip(matched, bounds.lo, bounds.hi)
+    return np.where(np.isfinite(matched), clipped, fallback)
+
+
+def reference_equilibrium_scopes(
+    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+) -> ScopeProfile:
+    """Solve the within-alliance equilibrium scope system with bound clipping.
+
+    Constant-ratio agents (exponential costs) whose ratio equals the solved
+    total have indeterminate individual scopes; the slack left by all other
+    agents is split equally among them and the profile is flagged degenerate
+    when two or more agents share it.
+    """
+    members = as_alliance(alliance, len(costs))
+    if not members:
+        raise ValueError("alliance must be non-empty")
+    n = len(members)
+    specs = {i: costs[i] for i in members}
+    warnings: list[str] = []
+
+    grid = np.linspace(n * bounds.lo, n * bounds.hi, SCAN_POINTS)
+    counts: dict[CostSpec, int] = {}
+    for spec in specs.values():
+        counts[spec] = counts.get(spec, 0) + 1
+
+    def reply_gap(totals: np.ndarray) -> np.ndarray:
+        return sum(cnt * _reference_reply_grid(spec, bounds, totals) for spec, cnt in counts.items()) - totals
+
+    roots, h_grid = _reference_roots(reply_gap, grid)
+    if not roots:
+        raise SolverError(
+            "no consistent scope profile: reply-gap has no zero on "
+            f"[{grid[0]:.6g}, {grid[-1]:.6g}] (ends {h_grid[0]:.3g}, {h_grid[-1]:.3g})"
+        )
+    if np.all(np.abs(h_grid) <= ZERO_TOL):
+        warnings.append(
+            f"reply gap is zero on all of [{grid[0]:.6g}, {grid[-1]:.6g}]; "
+            "every total is a fixed point; selected smallest"
+        )
+    elif len(roots) > 1:
+        warnings.append(
+            "multiple candidate totals " + str([round(r, 12) for r in roots]) + "; selected smallest"
+        )
+    total = roots[0]
+
+    # Equal-treatment split for constant-ratio agents pinned at the root.
+    pool = [
+        i
+        for i in members
+        if specs[i].ratio_constant is not None
+        and abs(specs[i].ratio_constant - total) <= 1e-9 * max(1.0, abs(total))
+    ]
+    if pool:
+        total = specs[pool[0]].ratio_constant  # exact jump location
+    per_agent = {i: float(_reference_reply_grid(specs[i], bounds, total)) for i in members if i not in pool}
+    if pool:
+        share = (total - sum(per_agent.values())) / len(pool)
+        clipped_share = bounds.clip(share)
+        if clipped_share != share:
+            warnings.append("degenerate split clipped to bounds; no exact fixed point exists")
+        for i in pool:
+            per_agent[i] = clipped_share
+    per_agent = {i: per_agent[i] for i in members}
+
+    realized = sum(per_agent.values())
+    residual = abs(realized - total)
+    if not pool and residual > 1e-9 * max(1.0, abs(total)):
+        raise SolverError(
+            "reply gap crosses zero only at a discontinuity; no consistent scope "
+            f"profile (candidate total {total:.6g}, replies sum to {realized:.6g})"
+        )
+    interior = all(
+        abs(specs[i].ratio(per_agent[i]) - realized) <= INTERIOR_TOL * max(1.0, realized)
+        for i in members
+    )
+    return ScopeProfile(
+        per_agent=per_agent,
+        total=realized,
+        interior=interior,
+        degenerate=len(pool) >= 2,
+        residual=residual,
+        warnings=tuple(warnings),
+    )
+
+
+def reference_planner_scopes(
+    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+) -> ScopeProfile:
+    """Solve the planner's common-marginal-cost scope system for one alliance."""
+    members = as_alliance(alliance, len(costs))
+    if not members:
+        raise ValueError("alliance must be non-empty")
+    specs = {i: costs[i] for i in members}
+    warnings: list[str] = []
+
+    lam_lo = 0.999 * min(spec.marginal(bounds.lo) for spec in specs.values())
+    lam_hi = 1.001 * max(spec.marginal(bounds.hi) for spec in specs.values())
+    lam_grid = np.geomspace(lam_lo, lam_hi, SCAN_POINTS)
+
+    def scopes_at(lam) -> dict[int, np.ndarray]:
+        return {
+            i: np.clip(np.asarray(spec.inverse_marginal(lam), dtype=float), bounds.lo, bounds.hi)
+            for i, spec in specs.items()
+        }
+
+    def gap_vec(lam: np.ndarray) -> np.ndarray:
+        sig = scopes_at(lam)
+        cost_sum = sum(np.asarray(specs[i].cost(sig[i])) for i in members)
+        scope_sum = sum(sig[i] for i in members)
+        return 2.0 * cost_sum - lam * scope_sum
+
+    roots, g_grid = _reference_roots(gap_vec, lam_grid)
+    if not roots:
+        raise SolverError(
+            "no planner multiplier with zero optimality gap on "
+            f"[{lam_lo:.6g}, {lam_hi:.6g}] (gap at ends {g_grid[0]:.3g}, {g_grid[-1]:.3g})"
+        )
+    lam = roots[0]
+    # Every grid zero is a root, so only several roots can hold a run of zeros.
+    flat = []
+    if len(roots) > 1:
+        zero = np.abs(g_grid) <= ZERO_TOL
+        flat = np.flatnonzero(zero[:-1] & zero[1:])
+    if len(flat):
+        # A run of zero gaps is a continuum of optimal multipliers; take the
+        # run's left edge, where the gap leaves zero, refined between grid points.
+        j = flat[0]
+        end = j + int(np.argmin(np.append(zero[j:], False))) - 1
+        edge = lam_grid[j]
+        if j > 0:
+            side = np.sign(g_grid[j - 1])
+            edges, _ = _reference_roots(
+                lambda x: np.where(np.abs(gap_vec(x)) <= ZERO_TOL, -side, side),
+                lam_grid[j - 1:j + 1],
+            )
+            edge = edges[0]
+        lam = min(lam, edge)
+        warnings.append(
+            f"optimality gap is zero for multipliers {edge:.6g} to {lam_grid[end]:.6g}; "
+            "every one is optimal; selected smallest"
+        )
+    elif len(roots) > 1:
+        warnings.append(
+            "multiple candidate multipliers "
+            + str([round(r, 12) for r in roots])
+            + "; selected smallest"
+        )
+
+    sig = {i: float(s) for i, s in scopes_at(np.asarray(lam)).items()}
+    total = sum(sig.values())
+    residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
+    if residual > 1e-10 * max(1.0, lam * total):
+        raise SolverError(f"planner optimality residual {residual:.3g} out of tolerance")
+    interior = all(
+        abs(specs[i].marginal(sig[i]) - lam) <= INTERIOR_TOL * max(1.0, lam) for i in members
+    )
+    return ScopeProfile(
+        per_agent=sig,
+        total=total,
+        interior=interior,
+        degenerate=False,
+        residual=residual,
+        warnings=tuple(warnings),
+    )
+
+
+REFERENCE = {
+    equilibrium_scopes: reference_equilibrium_scopes,
+    planner_scopes: reference_planner_scopes,
+}
