@@ -5,24 +5,34 @@ of phase k is m_k / (2 (C_k/S_k^2 - C_{k+1}/S_{k+1}^2)) where m_k agents exit
 after phase k, C is the alliance's total cost rate at planner scopes, and S
 its total scope (the empty successor contributes zero).  With proportional
 costs ordered cheapest-last, the optimal chain uses only suffix alliances and
-is found greedily by repeated argmax over terminal drawdowns.
+is found greedily by repeated argmax over terminal drawdowns.  Otherwise the
+welfare at these drawdowns telescopes to 1/2 sum_k m_k d_k, so the best chain
+is a longest path over links with increasing drawdowns, found by a DP.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError, ValidationError
-from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, planner_scopes
+from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, planner_profiles
+from .scopes import planner_scopes
 from .welfare import WelfareReport, chain_welfare
 
 ARGMAX_TIE_TOL = 1e-12
 WELLORDERED_ENUM_CAP = 10
 GENERAL_ENUM_CAP = 6
+# Largest team the DP chain search takes when the greedy recursion does not
+# apply; its links grow as 3**n.  Checked before any solve.
+MAX_CHAIN_AGENTS = 10
+# Chains whose telescoped welfare is within this relative gap of the DP's
+# optimum are rescored by chain_welfare, so ties break as in brute force.
+CHAIN_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -209,10 +219,66 @@ def brute_force_optimal_chain(
     return best
 
 
+def _dp_optimal_chain(
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None
+) -> AllianceChain:
+    """The chain ``brute_force_optimal_chain`` picks, by a DP over links.
+
+    F(A, B), the best value sum m_k d_k of a chain going on from link (A, B),
+    is |A - B| d(A, B) plus the best F(B, C) with d(B, C) > d(A, B); F(A, ()) is
+    |A| d(A, ()).  Chains within CHAIN_TIE_TOL of the optimum are walked in
+    ``enumerate_chains`` order and the first with the largest welfare is kept.
+    """
+    n = len(costs)
+    if n > MAX_CHAIN_AGENTS:
+        raise ValidationError(f"{n} agents: teams over {MAX_CHAIN_AGENTS} agents need "
+                              "proportional costs with non-decreasing multipliers")
+
+    def successors(a: Alliance) -> list[Alliance]:  # the chain's end first, as enumerated
+        return [()] + [b for r in range(1, len(a)) for b in combinations(a, r)]
+
+    links = _Links(costs, bounds, cache)
+    team = tuple(range(n))
+    # Solved in the order brute force first reaches them, so a failing solve
+    # raises the error brute force would.
+    order = [team, *successors(team)[1:]]
+    links.cache.prefetch([(a, costs) for a in order], bounds, planner_profiles)
+    for alliance in order:
+        links.cost_per_speed(alliance)
+
+    best: dict[tuple[Alliance, Alliance], tuple[float, float]] = {}  # link -> (d, F)
+    # Per alliance: its links' sorted drawdowns, and the suffix maxima of their F.
+    tails: dict[Alliance, tuple[list[float], list[float]]] = {(): ([], [0.0])}
+    for a in order[1:] + order[:1]:  # smallest alliances first
+        for b in successors(a):
+            d = _drawdown(links, a, b)
+            if math.isfinite(d) and d > 0.0:
+                ds, tops = tails[b]
+                best[a, b] = d, (len(a) - len(b)) * d + tops[bisect_right(ds, d)]
+        found = sorted(best[a, b] for b in successors(a) if (a, b) in best)
+        tops = list(accumulate(reversed([f for _, f in found]), max, initial=-math.inf))
+        tails[a] = [d for d, _ in found], tops[::-1]
+    target = tails[team][1][0]
+    if target == -math.inf:
+        raise SolverError("no feasible chain found (the single-alliance chain should exist)")
+    floor = target - CHAIN_TIE_TOL * target
+
+    def walk(chain: tuple[Alliance, ...], gathered: float, last: float):
+        a = chain[-1]
+        for b in successors(a):
+            d, f = best.get((a, b), (0.0, -math.inf))
+            if d > last and gathered + f >= floor:
+                yield from walk((*chain, b), gathered + (len(a) - len(b)) * d, d) if b else [chain]
+
+    candidates = (_build_chain(links, chain) for chain in walk((team,), 0.0, 0.0))
+    # max keeps the first of equal totals, as brute force's strict comparison does.
+    return max(candidates, key=lambda chain: chain_welfare(chain, costs).total)
+
+
 def optimal_chain(
     costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
 ) -> AllianceChain:
-    """Planner chain: greedy for proportional ordered costs, brute force otherwise.
+    """Planner chain: greedy for proportional ordered costs, the DP otherwise.
 
     ``cache``, a ProfileCache of ``planner_scopes``, may share solved profiles
     between chains; by default each chain solves its alliances once.
@@ -220,4 +286,4 @@ def optimal_chain(
     try:
         return greedy_wellordered_chain(costs, bounds, cache)
     except ValidationError:
-        return brute_force_optimal_chain(costs, bounds, wellordered=False, cache=cache)[0]
+        return _dp_optimal_chain(costs, bounds, cache)

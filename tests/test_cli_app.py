@@ -388,3 +388,53 @@ def test_scan_matches_per_cell_reference_loop(tmp_path):
     rows, _ = parse_table(result.stdout)
     assert rows == expected
     assert {row[2] for row in rows[1:]} == {"", "{1,2,3}", "{1,2}{3}", "{1}{2,3}", "{1}{2}{3}"}
+
+
+def unsorted_team_doc(n: int, seed: int, spread: float = 6.0) -> dict:
+    import random
+
+    log_beta = [spread * k / (n - 1) for k in range(n)]
+    while log_beta == sorted(log_beta):
+        random.Random(seed).shuffle(log_beta)
+    return base_doc(betas=[math.exp(v) for v in log_beta])
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_schedule_sp_solves_large_unsorted_team(tmp_path, n):
+    # Unsorted teams take the planner's DP chain search; the welfare of the
+    # best chain cannot depend on agent order, so it equals the greedy chain's
+    # on the sorted team.
+    from teamsearch.costs import ScaledExponential, ScopeBounds
+    from teamsearch.planner import greedy_wellordered_chain
+    from teamsearch.welfare import chain_welfare
+
+    doc = unsorted_team_doc(n, seed=n)
+    result = run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp")
+    assert result.returncode == 0 and result.stderr == ""
+    _, comments = parse_table(result.stdout)
+    total = float(next(c for c in comments if c.startswith("# total_welfare: ")).split()[-1])
+    costs = [ScaledExponential(b=1.0, beta=a["beta"]) for a in doc["agents"]]
+    costs.sort(key=lambda spec: spec.beta)
+    expected = chain_welfare(greedy_wellordered_chain(costs, ScopeBounds(0.1, 10.0)), costs)
+    assert total == pytest.approx(expected.total, rel=1e-8)
+
+
+def test_simulate_sp_runs_seven_agent_unsorted_team(tmp_path):
+    doc = quick_sim_doc(unsorted_team_doc(7, seed=3, spread=1.0), dt=1e-2, n_paths=200)
+    result = run_cli("simulate", write_scenario(tmp_path, doc), "--mode", "sp")
+    assert result.returncode == 0 and result.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_unsorted_team_over_chain_limit_exits_two_quickly(tmp_path, command):
+    doc = quick_sim_doc(unsorted_team_doc(11, seed=11), n_paths=10)
+    result = subprocess.run(
+        [sys.executable, "-m", "teamsearch", command, write_scenario(tmp_path, doc),
+         "--mode", "sp"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert_one_line_error(result)
+    assert "over 10 agents" in result.stderr
+    # A sorted team of the same size takes the greedy chain, which has no limit.
+    doc["agents"].sort(key=lambda agent: agent["beta"])
+    assert run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp").returncode == 0

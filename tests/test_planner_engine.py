@@ -248,3 +248,115 @@ def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
     links = sum(len(chain) for chain in enumerate_chains(range(5), wellordered=False))
     assert 0 < counted[0] <= bound
     assert links > 10 * bound
+
+
+def mixed_unsorted_team(rng, family: str, n: int):
+    # Every other agent is exponential.  Power costs have p = 2, whose planner
+    # gap is flat; affine ones solve only at the upper scope bound, and only
+    # when it is wide.  A quarter of the agents repeat an earlier one.  A team
+    # that greedy_wellordered_chain would take is drawn again.
+    from teamsearch.costs import ScaledPower
+    from teamsearch.planner import _check_wellordered
+
+    costs = []
+    for i in range(n):
+        if costs and rng.random() < 0.25:
+            costs.append(costs[int(rng.integers(len(costs)))])
+        elif family == "exponential" or i % 2 == 0:
+            costs.append(ScaledExponential(b=float(rng.uniform(0.5, 2.0)),
+                                           beta=float(np.exp(rng.uniform(0.0, 4.0)))))
+        elif family == "power":
+            costs.append(ScaledPower(a=float(np.exp(rng.uniform(0.0, 3.0))), p=2.0,
+                                     beta=float(np.exp(rng.uniform(0.0, 2.0)))))
+        else:
+            a2 = float(np.exp(rng.uniform(-1.0, 1.0)))
+            costs.append(AffineQuadratic(a2=a2, a1=a2 * float(rng.uniform(0.0, 0.02)),
+                                         a0=a2 * float(rng.uniform(0.1, 2.0))))
+    try:
+        _check_wellordered(costs)
+    except ValidationError:
+        return costs
+    return mixed_unsorted_team(rng, family, n)
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def assert_same_as_brute_force(costs, bounds):
+    dp = outcome(lambda: optimal_chain(costs, bounds))
+    brute = outcome(lambda: brute_force_optimal_chain(costs, bounds, wellordered=False)[0])
+    if isinstance(brute, tuple):
+        assert dp == brute
+        return False
+    assert dp.alliances == brute.alliances
+    assert dp.drawdowns == brute.drawdowns
+    assert dp == brute  # profiles, feasibility and trace too
+    dp_report, brute_report = chain_welfare(dp, costs), chain_welfare(brute, costs)
+    assert dp_report.per_agent == brute_report.per_agent
+    assert dp_report.total == brute_report.total
+    return True
+
+
+@pytest.mark.parametrize("family", ["exponential", "power", "affine"])
+def test_dp_chain_equals_brute_force_on_random_unsorted_teams(family):
+    rng = np.random.default_rng({"exponential": 61, "power": 62, "affine": 63}[family])
+    solved = raised = 0
+    for k in range(16):
+        n = int(rng.integers(2, 7))
+        if assert_same_as_brute_force(mixed_unsorted_team(rng, family, n),
+                                      ROOMY if k % 2 else WIDE):
+            solved += 1
+        else:
+            raised += 1
+    assert solved >= 3 and raised + solved == 16
+
+
+def test_dp_chain_keeps_brute_force_pick_among_near_ties(monkeypatch):
+    # With a wide tie tolerance many feasible chains reach the rescoring
+    # step, so the pick rests on brute force's rule alone: the first chain,
+    # in enumeration order, with the largest chain_welfare total.
+    import teamsearch.planner as planner_module
+
+    scored = [0]
+    welfare = planner_module.chain_welfare
+    monkeypatch.setattr(planner_module, "CHAIN_TIE_TOL", 0.5)
+    monkeypatch.setattr(planner_module, "chain_welfare",
+                        lambda *args: scored.__setitem__(0, scored[0] + 1) or welfare(*args))
+    rng = np.random.default_rng(64)
+    rescored = []
+    for _ in range(12):
+        betas = np.exp(rng.uniform(0.0, 6.0, size=int(rng.integers(3, 7))))
+        betas[-1] = betas[0]  # a duplicate agent
+        while np.all(np.diff(betas) >= 0.0):
+            betas = rng.permutation(betas)
+        costs = exp_team(betas)
+        before = scored[0]
+        optimal_chain(costs, WIDE)
+        rescored.append(scored[0] - before)
+        assert assert_same_as_brute_force(costs, WIDE)
+    assert sum(count > 1 for count in rescored) >= 6
+
+
+def test_dp_chain_refuses_equal_consecutive_drawdowns(monkeypatch):
+    # Feasible chains need strictly increasing drawdowns.  Stub drawdowns
+    # make one chain's second drawdown equal its first; with every chain
+    # rescored, the DP must still skip it, as brute force does.
+    import teamsearch.planner as planner_module
+
+    table = {
+        ((0, 1, 2), ()): 0.5,
+        ((0, 1, 2), (0, 1)): 10.0,
+        ((0, 1), ()): 10.0,
+        ((0, 1), (0,)): 11.0,
+        ((0,), ()): 11.5,
+    }
+    monkeypatch.setattr(planner_module, "_drawdown", lambda links, a, b: table.get((a, b), -1.0))
+    monkeypatch.setattr(planner_module, "CHAIN_TIE_TOL", 0.99)
+    costs = exp_team([2.0, 1.0, 3.0])
+    dp = optimal_chain(costs, ROOMY)
+    brute, _ = brute_force_optimal_chain(costs, ROOMY, wellordered=False)
+    assert dp == brute

@@ -142,3 +142,29 @@ def test_participation_beats_solo_search():
             assert solo_report.per_agent[i] == pytest.approx(
                 solo_value(costs[i], sigma), rel=1e-10
             )
+
+
+def test_chain_welfare_telescopes_to_half_the_exit_drawdowns():
+    # At the planner's drawdowns d_k = m_k / (2 (g_k - g_{k+1})), g = C/S^2,
+    # the phase costs telescope: total welfare = 1/2 sum_k m_k d_k, where m_k
+    # agents exit at d_k.  Any feasible chain, optimal or not, obeys it.
+    from teamsearch.planner import _build_chain, _Links, enumerate_chains
+
+    rng = np.random.default_rng(2718)
+    bounds = ScopeBounds(0.01, 50.0)
+    checked, linked = 0, 0
+    for _ in range(12):
+        n = int(rng.integers(2, 6))
+        costs = [ScaledExponential(b=float(rng.uniform(0.5, 2.0)),
+                                   beta=float(np.exp(rng.uniform(0.0, 6.0)))) for _ in range(n)]
+        links = _Links(costs, bounds)
+        for skeleton in enumerate_chains(range(n), wellordered=False):
+            chain = _build_chain(links, skeleton)
+            if not chain.feasible:
+                continue
+            exits = [len(a) - len(b) for a, b in zip(chain.alliances, chain.alliances[1:] + ((),))]
+            half = 0.5 * sum(m * d for m, d in zip(exits, chain.drawdowns))
+            assert chain_welfare(chain, costs).total == pytest.approx(half, rel=1e-9)
+            checked += 1
+            linked += len(exits) > 1
+    assert checked >= 20 and linked >= 8
