@@ -60,10 +60,8 @@ from .scopes import (
 )
 from .simulate import (
     KSReport,
-    PlannerComparison,
     SimConfig,
     SimOutcome,
-    simulate_equilibrium_vs_planner,
     simulate_schedule,
     stopped_max_distribution_test,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "PenaltyConfig",
     "PenaltyPolicy",
     "PhaseStat",
-    "PlannerComparison",
     "ScaledExponential",
     "ScaledPower",
     "ScopeBounds",
@@ -120,7 +117,6 @@ __all__ = [
     "phase_stats",
     "planner_drawdown",
     "planner_scopes",
-    "simulate_equilibrium_vs_planner",
     "simulate_penalty",
     "simulate_schedule",
     "solo_value",

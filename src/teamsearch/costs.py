@@ -1,17 +1,27 @@
 """Parametric flow-cost families for search agents, plus regularity validation.
 
 Every family maps a per-agent search scope sigma to an instantaneous cost
-rate c(sigma).  The solvers only rely on the shared method surface defined
-here: cost / marginal / curvature evaluation, the ratio 2*c/c' (which interior
-first-order conditions equate to the alliance's total scope), its inverse, and
-the inverse marginal cost (used by the planner's common-multiplier system).
+rate c(sigma).  The solvers only rely on the method surface of
+``CostFamily``: cost / marginal / curvature evaluation, the ratio 2*c/c'
+(which interior first-order conditions equate to the alliance's total scope),
+its inverse, and the inverse marginal cost (used by the planner's
+common-multiplier system).
+
+``CostFamily`` owns what all families share: finite parameters, the sign and
+finiteness guards (numpy overflow goes quietly to the finiteness guard), the
+one return rule (a float for scalar or 0-d input, an array otherwise),
+``cost``/``marginal``/``curvature``, the default ratio 2*c/c' and the
+parameter check ``validate_cost`` reports.  A family supplies its c, c' and
+c'' expressions on a float array (``_c``, ``_dc``, ``_d2c``),
+``scope_at_ratio``, ``inverse_marginal``, its parameter rules (``_rules``),
+``proportional_key`` and ``cost_multiplier``, and a closed-form ``ratio``
+where one exists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -44,22 +54,63 @@ class ScopeBounds:
         return min(max(sigma, self.lo), self.hi)
 
 
-# Scalar arguments (numpy float64 included) skip the array reductions.
-def _check_finite(spec: "CostSpec", value, sigma) -> None:
-    if math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all():
-        return
-    if np.ndim(sigma):  # name the first offending scope, not the whole array
-        sigma = float(np.asarray(sigma)[~np.isfinite(value)][0])
-    raise CostDomainError(f"{spec!r} produced a non-finite value at sigma={sigma!r}")
+def _scalar(x) -> bool:
+    """The return rule: scalar and 0-d inputs give a float, arrays an array."""
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _shaped(out, x):
+    return float(out) if _scalar(x) else out
 
 
 def _check_sigma(sigma) -> None:
+    # Scalar arguments (numpy float64 included) skip the array reduction.
     if sigma < 0 if isinstance(sigma, float) else (np.asarray(sigma) < 0).any():
         raise ValueError("scope must be non-negative")
 
 
 @dataclass(frozen=True)
-class ScaledExponential:
+class CostFamily:
+    """Base of the cost families; see the module docstring for the split of work."""
+
+    ratio_constant = None  # 2*c/c' where it does not depend on sigma
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("parameters must be finite")
+
+    @np.errstate(all="ignore")  # a non-finite value goes to the guard, not to a warning
+    def _evaluate(self, expr, sigma):
+        """``expr`` of sigma as a float array, behind the sign and finiteness guards."""
+        _check_sigma(sigma)
+        out = expr(np.asarray(sigma, dtype=float))
+        if math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all():
+            return _shaped(out, sigma)
+        bad = float(np.ravel(sigma)[~np.isfinite(np.ravel(out))][0])  # the first offender
+        raise CostDomainError(f"{self!r} produced a non-finite value at sigma={bad!r}")
+
+    def cost(self, sigma):
+        return self._evaluate(self._c, sigma)
+
+    def marginal(self, sigma):
+        return self._evaluate(self._dc, sigma)
+
+    def curvature(self, sigma):
+        return self._evaluate(self._d2c, sigma)
+
+    def ratio(self, sigma):
+        return self._evaluate(self._ratio, sigma)
+
+    def _ratio(self, s):
+        return 2.0 * self._c(s) / self._dc(s)
+
+    def parameter_issues(self) -> list[str]:
+        """The family's parameter rules this spec breaks."""
+        return [issue for ok, issue in self._rules() if not ok]
+
+
+@dataclass(frozen=True)
+class ScaledExponential(CostFamily):
     """c(sigma) = exp(b * sigma) / beta with rate b > 0 and divisor beta >= 1.
 
     The ratio 2*c/c' is the constant 2/b, independent of sigma, which makes the
@@ -70,41 +121,21 @@ class ScaledExponential:
     b: float
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.b) and math.isfinite(self.beta)):
-            raise ValueError("parameters must be finite")
+    def _c(self, s):
+        return np.exp(self.b * s) / self.beta
 
-    def cost(self, sigma):
-        _check_sigma(sigma)
-        # Overflow to inf is caught by the finiteness check; keep numpy quiet.
-        with np.errstate(over="ignore"):
-            out = np.exp(self.b * np.asarray(sigma, dtype=float)) / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.isscalar(sigma) or np.ndim(sigma) == 0 else out
+    def _dc(self, s):
+        return self.b * np.exp(self.b * s) / self.beta
 
-    def marginal(self, sigma):
-        _check_sigma(sigma)
-        with np.errstate(over="ignore"):
-            out = self.b * np.exp(self.b * np.asarray(sigma, dtype=float)) / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
-
-    def curvature(self, sigma):
-        _check_sigma(sigma)
-        with np.errstate(over="ignore"):
-            out = self.b * self.b * np.exp(self.b * np.asarray(sigma, dtype=float)) / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
+    def _d2c(self, s):
+        return self.b * self.b * np.exp(self.b * s) / self.beta
 
     def ratio(self, sigma):
-        # 2*c/c' does not depend on sigma for this family.
         _check_sigma(sigma)
-        if np.ndim(sigma) == 0:
-            return 2.0 / self.b
-        return np.full(np.shape(sigma), 2.0 / self.b)
+        return 2.0 / self.b if _scalar(sigma) else np.full(np.shape(sigma), 2.0 / self.b)
 
     @property
-    def ratio_constant(self) -> float | None:
+    def ratio_constant(self) -> float:
         return 2.0 / self.b
 
     def scope_at_ratio(self, target):
@@ -112,7 +143,11 @@ class ScaledExponential:
 
     def inverse_marginal(self, lam):
         # c'(sigma) = lam  =>  sigma = log(lam * beta / b) / b
-        return np.log(np.asarray(lam, dtype=float) * self.beta / self.b) / self.b
+        return _shaped(np.log(np.asarray(lam, dtype=float) * self.beta / self.b) / self.b, lam)
+
+    def _rules(self):
+        return ((self.b > 0, "rate b must be positive"),
+                (self.beta >= 1, "divisor beta must be >= 1"))
 
     def proportional_key(self) -> tuple:
         return ("exp", self.b)
@@ -123,58 +158,38 @@ class ScaledExponential:
 
 
 @dataclass(frozen=True)
-class ScaledPower:
+class ScaledPower(CostFamily):
     """c(sigma) = a * sigma**p / beta with a > 0, exponent p >= 2, divisor beta >= 1."""
 
     a: float
     p: float
     beta: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.p) and math.isfinite(self.beta)):
-            raise ValueError("parameters must be finite")
+    def _c(self, s):
+        return self.a * s ** self.p / self.beta
 
-    def cost(self, sigma):
-        _check_sigma(sigma)
-        # Overflow to inf is caught by the finiteness check; keep numpy quiet.
-        with np.errstate(over="ignore"):
-            out = self.a * np.asarray(sigma, dtype=float) ** self.p / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
+    def _dc(self, s):
+        return self.a * self.p * s ** (self.p - 1.0) / self.beta
 
-    def marginal(self, sigma):
-        _check_sigma(sigma)
-        with np.errstate(over="ignore"):
-            out = self.a * self.p * np.asarray(sigma, dtype=float) ** (self.p - 1.0) / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
-
-    def curvature(self, sigma):
-        _check_sigma(sigma)
-        s = np.asarray(sigma, dtype=float)
-        with np.errstate(over="ignore"):
-            out = self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
+    def _d2c(self, s):
+        return self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
 
     def ratio(self, sigma):
         _check_sigma(sigma)
-        s = np.asarray(sigma, dtype=float)
-        out = 2.0 * s / self.p
-        return float(out) if np.ndim(sigma) == 0 else out
-
-    @property
-    def ratio_constant(self) -> float | None:
-        return None
+        return _shaped(2.0 * np.asarray(sigma, dtype=float) / self.p, sigma)
 
     def scope_at_ratio(self, target):
         # 2*sigma/p = target
-        out = self.p * np.asarray(target, dtype=float) / 2.0
-        return float(out) if np.ndim(target) == 0 else out
+        return _shaped(self.p * np.asarray(target, dtype=float) / 2.0, target)
 
     def inverse_marginal(self, lam):
         base = np.asarray(lam, dtype=float) * self.beta / (self.a * self.p)
-        return np.maximum(base, 0.0) ** (1.0 / (self.p - 1.0))
+        return _shaped(np.maximum(base, 0.0) ** (1.0 / (self.p - 1.0)), lam)
+
+    def _rules(self):
+        return ((self.a > 0, "coefficient a must be positive"),
+                (self.p >= 2, "exponent p must be >= 2"),
+                (self.beta >= 1, "divisor beta must be >= 1"))
 
     def proportional_key(self) -> tuple:
         return ("pow", self.p)
@@ -184,49 +199,21 @@ class ScaledPower:
 
 
 @dataclass(frozen=True)
-class AffineQuadratic:
+class AffineQuadratic(CostFamily):
     """c(sigma) = a2*sigma**2 + a1*sigma + a0 with a2 > 0, a1 >= 0, a0 > 0."""
 
     a2: float
     a1: float
     a0: float
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.a2, self.a1, self.a0)):
-            raise ValueError("parameters must be finite")
+    def _c(self, s):
+        return self.a2 * s * s + self.a1 * s + self.a0
 
-    def cost(self, sigma):
-        _check_sigma(sigma)
-        s = np.asarray(sigma, dtype=float)
-        out = self.a2 * s * s + self.a1 * s + self.a0
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
+    def _dc(self, s):
+        return 2.0 * self.a2 * s + self.a1
 
-    def marginal(self, sigma):
-        _check_sigma(sigma)
-        s = np.asarray(sigma, dtype=float)
-        out = 2.0 * self.a2 * s + self.a1
-        _check_finite(self, out, sigma)
-        return float(out) if np.ndim(sigma) == 0 else out
-
-    def curvature(self, sigma):
-        _check_sigma(sigma)
-        if np.ndim(sigma) == 0:
-            return 2.0 * self.a2
-        return np.full(np.shape(sigma), 2.0 * self.a2)
-
-    def ratio(self, sigma):
-        _check_sigma(sigma)
-        s = np.asarray(sigma, dtype=float)
-        num = 2.0 * (self.a2 * s * s + self.a1 * s + self.a0)
-        den = 2.0 * self.a2 * s + self.a1
-        with np.errstate(divide="ignore"):
-            out = num / den
-        return float(out) if np.ndim(sigma) == 0 else out
-
-    @property
-    def ratio_constant(self) -> float | None:
-        return None
+    def _d2c(self, s):
+        return np.full(np.shape(s), 2.0 * self.a2)
 
     def scope_at_ratio(self, target):
         """Smallest positive scope with 2*c/c' equal to target; +inf when none exists.
@@ -244,12 +231,15 @@ class AffineQuadratic:
             lo_root = (-B - sq) / (2.0 * A)
             hi_root = (-B + sq) / (2.0 * A)
         out = np.where(lo_root > 0.0, lo_root, hi_root)
-        out = np.where((disc < 0.0) | (out <= 0.0), np.inf, out)
-        return float(out) if np.ndim(target) == 0 else out
+        return _shaped(np.where((disc < 0.0) | (out <= 0.0), np.inf, out), target)
 
     def inverse_marginal(self, lam):
-        out = (np.asarray(lam, dtype=float) - self.a1) / (2.0 * self.a2)
-        return float(out) if np.ndim(lam) == 0 else out
+        return _shaped((np.asarray(lam, dtype=float) - self.a1) / (2.0 * self.a2), lam)
+
+    def _rules(self):
+        return ((self.a2 > 0, "quadratic coefficient a2 must be positive"),
+                (self.a1 >= 0, "linear coefficient a1 must be non-negative"),
+                (self.a0 > 0, "constant a0 must be positive"))
 
     def proportional_key(self) -> tuple:
         return ("aq", self.a1 / self.a2, self.a0 / self.a2)
@@ -258,7 +248,7 @@ class AffineQuadratic:
         return 1.0 / self.a2
 
 
-CostSpec = Union[ScaledExponential, ScaledPower, AffineQuadratic]
+CostSpec = CostFamily
 # Scenario-file family name of each cost class.
 FAMILIES: dict[str, type] = {
     "scaled_exponential": ScaledExponential,
@@ -274,62 +264,29 @@ class CostValidation:
     issues: tuple[str, ...]
 
 
-def _parameter_issues(spec: CostSpec) -> list[str]:
-    issues = []
-    if isinstance(spec, ScaledExponential):
-        if spec.b <= 0:
-            issues.append("rate b must be positive")
-        if spec.beta < 1:
-            issues.append("divisor beta must be >= 1")
-    elif isinstance(spec, ScaledPower):
-        if spec.a <= 0:
-            issues.append("coefficient a must be positive")
-        if spec.p < 2:
-            issues.append("exponent p must be >= 2")
-        if spec.beta < 1:
-            issues.append("divisor beta must be >= 1")
-    elif isinstance(spec, AffineQuadratic):
-        if spec.a2 <= 0:
-            issues.append("quadratic coefficient a2 must be positive")
-        if spec.a1 < 0:
-            issues.append("linear coefficient a1 must be non-negative")
-        if spec.a0 <= 0:
-            issues.append("constant a0 must be positive")
-    else:
-        issues.append(f"unknown cost family {type(spec).__name__}")
-    return issues
-
-
 def validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
     """Grid-check a cost spec on [lo, hi]: positive, increasing, uniformly convex.
 
     Also reports whether the family is (weakly) log-convex on the interval,
     which stronger comparative-statics properties require.
     """
-    issues = _parameter_issues(spec)
+    issues = spec.parameter_issues()
     grid = np.linspace(bounds.lo, bounds.hi, VALIDATION_GRID)
-    log_convex = False
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            c = np.asarray(spec.cost(grid), dtype=float)
-            m = np.asarray(spec.marginal(grid), dtype=float)
-            k = np.asarray(spec.curvature(grid), dtype=float)
+        c, m, k = spec.cost(grid), spec.marginal(grid), spec.curvature(grid)
     except (CostDomainError, ValueError) as exc:
         issues.append(str(exc))
         return CostValidation(valid=False, log_convex=False, issues=tuple(issues))
 
-    if not np.all(np.isfinite(c)) or not np.all(np.isfinite(m)) or not np.all(np.isfinite(k)):
-        issues.append("cost evaluations are not finite on the scope interval")
-    else:
-        if np.any(c <= 0):
-            issues.append("cost must be positive on the scope interval")
-        if np.any(m <= 0):
-            issues.append("cost must be strictly increasing on the scope interval")
-        if np.any(k < CONVEXITY_FLOOR):
-            issues.append(f"cost curvature must stay above {CONVEXITY_FLOOR}")
-        # Weak log-convexity: c*c'' >= (c')^2 up to rounding slack.
-        gap = c * k - m * m
-        slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(c * k), m * m))
-        log_convex = bool(np.all(gap >= -slack))
+    if np.any(c <= 0):
+        issues.append("cost must be positive on the scope interval")
+    if np.any(m <= 0):
+        issues.append("cost must be strictly increasing on the scope interval")
+    if np.any(k < CONVEXITY_FLOOR):
+        issues.append(f"cost curvature must stay above {CONVEXITY_FLOOR}")
+    # Weak log-convexity: c*c'' >= (c')^2 up to rounding slack.
+    gap = c * k - m * m
+    slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(c * k), m * m))
+    log_convex = bool(np.all(gap >= -slack))
 
     return CostValidation(valid=not issues, log_convex=log_convex, issues=tuple(issues))

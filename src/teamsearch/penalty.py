@@ -19,7 +19,8 @@ from typing import Sequence
 from .costs import CostSpec, ScopeBounds
 from .errors import ValidationError
 from .scopes import ScopeProfile, equilibrium_scopes
-from .simulate import Phase, SimConfig, SimOutcome, simulate_phases
+from .simulate import SimConfig, SimOutcome, simulate_phases
+from .welfare import Phase
 
 
 @dataclass(frozen=True)

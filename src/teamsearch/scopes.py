@@ -180,10 +180,10 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
     rc = spec.ratio_constant
     if rc is not None:
         return np.where(rc > totals, bounds.hi, bounds.lo)
-    matched = np.asarray(spec.scope_at_ratio(totals), dtype=float)
+    matched = spec.scope_at_ratio(totals)
     # No scope matches the ratio: the value is monotone in scope, so the
     # agent runs to whichever bound the sign of (ratio - S) pushes toward.
-    fallback = np.where(np.asarray(spec.ratio(bounds.hi)) > totals, bounds.hi, bounds.lo)
+    fallback = np.where(spec.ratio(bounds.hi) > totals, bounds.hi, bounds.lo)
     clipped = np.clip(matched, bounds.lo, bounds.hi)
     return np.where(np.isfinite(matched), clipped, fallback)
 
@@ -298,9 +298,7 @@ def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
             x = lam[order]
             sig, cost = np.empty_like(x), np.empty_like(x)
             for spec, part in terms:
-                sig[part] = np.clip(
-                    np.asarray(spec.inverse_marginal(x[part]), dtype=float), bounds.lo, bounds.hi
-                )
+                sig[part] = np.clip(spec.inverse_marginal(x[part]), bounds.lo, bounds.hi)
                 cost[part] = spec.cost(sig[part])
             cost_sum[order] += cost
             scope_sum[order] += sig
@@ -359,11 +357,8 @@ def _planner_profile(
             + "; selected smallest"
         )
 
-    sig = {
-        i: float(np.clip(np.asarray(spec.inverse_marginal(np.asarray(lam)), dtype=float),
-                         bounds.lo, bounds.hi))
-        for i, spec in specs.items()
-    }
+    sig = {i: float(np.clip(spec.inverse_marginal(lam), bounds.lo, bounds.hi))
+           for i, spec in specs.items()}
     total = sum(sig.values())
     residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
     if residual > 1e-10 * max(1.0, lam * total):

@@ -1,5 +1,9 @@
 """Monte Carlo engine for drawdown-stopped search paths with alliance switching.
 
+The engine runs a list of ``welfare.Phase``: the phase type the closed-form
+welfare reads too.  ``simulate_schedule`` takes it from ``plan_phases`` of an
+exit schedule or planner chain; the penalty extension builds its own.
+
 Paths follow dX = S_k dB within phase k and fire wave k when the gap M - X
 first reaches the phase trigger.  Discretization at step dt biases first
 passages (the discrete running maximum lags the continuous one by about
@@ -32,13 +36,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .costs import CostSpec, ScopeBounds
+from .costs import CostSpec
 from .errors import SimulationError, ValidationError
 from .scopes import Alliance
+from .welfare import Phase, plan_phases
 
 CHUNK = 128
 # Live paths are stepped through a chunk in row tiles of at most this many
@@ -68,20 +73,6 @@ class SimConfig:
             raise ValidationError("t_max must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class Phase:
-    """``alliance`` searches at total ``scope`` until the drawdown reaches ``trigger``;
-    a maximum of at least ``threshold`` then ends the run for everyone, and
-    ``exit_scale`` scales the reward of agents whose last phase this is."""
-
-    alliance: Alliance
-    scope: float
-    trigger: float
-    rates: dict[int, float]
-    exit_scale: float = 1.0
-    threshold: float = math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,24 +293,9 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
     )
 
 
-def _phases_from_plan(plan, costs: Sequence[CostSpec]) -> list[Phase]:
-    phases = []
-    prev = 0.0
-    for alliance, profile, drawdown in plan.phases():
-        if not math.isfinite(drawdown) or drawdown <= prev:
-            raise ValidationError(f"plan drawdown {drawdown} must exceed the previous {prev}")
-        rates = {i: costs[i].cost(profile.per_agent[i]) for i in alliance}
-        phases.append(Phase(alliance=tuple(alliance), scope=profile.total,
-                            trigger=drawdown, rates=rates))
-        prev = drawdown
-    if not phases:
-        raise ValidationError("plan has no phases")
-    return phases
-
-
 def simulate_schedule(plan, costs: Sequence[CostSpec], config: SimConfig) -> SimOutcome:
     """Simulate any phased plan (equilibrium schedule or planner chain)."""
-    phases = _phases_from_plan(plan, costs)
+    phases = plan_phases(plan, costs)
     return simulate_phases(phases, phases[0].alliance, config)
 
 
@@ -360,51 +336,4 @@ def stopped_max_distribution_test(
         null_mean=mean,
         significance=significance,
         passed=bool(result.pvalue > significance),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PlannerComparison:
-    equilibrium: SimOutcome
-    planner: SimOutcome
-    eq_welfare: dict[int, float]
-    sp_welfare: dict[int, float]
-    gap_mean: dict[int, float]
-    gap_se: dict[int, float]
-    total_gap: float
-    total_gap_se: float
-
-
-def simulate_equilibrium_vs_planner(
-    costs: Sequence[CostSpec], bounds: ScopeBounds, config: SimConfig
-) -> PlannerComparison:
-    """Run both regimes on common random numbers and report per-agent gaps."""
-    from .equilibrium import equilibrium_exit_schedule
-    from .planner import optimal_chain
-    from .welfare import chain_welfare, equilibrium_payoffs
-
-    team = range(len(costs))
-    schedule = equilibrium_exit_schedule(team, costs, bounds)
-    chain = optimal_chain(costs, bounds)
-    eq_out = simulate_schedule(schedule, costs, config)
-    sp_out = simulate_schedule(chain, costs, config)
-    eq_rep = equilibrium_payoffs(schedule, costs)
-    sp_rep = chain_welfare(chain, costs)
-
-    diffs = sp_out.payoffs - eq_out.payoffs
-    n = diffs.shape[1]
-    gap_mean = {a: float(diffs[r].mean()) for r, a in enumerate(eq_out.agents)}
-    gap_se = {
-        a: float(diffs[r].std(ddof=1) / math.sqrt(n)) for r, a in enumerate(eq_out.agents)
-    }
-    total = diffs.sum(axis=0)
-    return PlannerComparison(
-        equilibrium=eq_out,
-        planner=sp_out,
-        eq_welfare=eq_rep.per_agent,
-        sp_welfare=sp_rep.per_agent,
-        gap_mean=gap_mean,
-        gap_se=gap_se,
-        total_gap=float(total.mean()),
-        total_gap_se=float(total.std(ddof=1) / math.sqrt(n)),
     )

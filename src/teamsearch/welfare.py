@@ -1,4 +1,10 @@
-"""Closed-form expected payoffs for exit schedules and planner chains.
+"""Phase plans and their closed-form expected payoffs.
+
+A plan runs in phases: alliance A_k searches at total scope S_k until the
+drawdown M - X first reaches d_k, and the agents in A_k but not A_{k+1} exit
+then.  ``plan_phases`` checks a plan once and gives its ``Phase`` list, with
+each member's flow-cost rate; ``chain_welfare`` and the path engine in
+``simulate`` both read that list.
 
 Evaluation decomposes the run into phases between consecutive stop drawdowns.
 For a driftless path with total scope S stopped when the gap M - X first
@@ -12,17 +18,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from .costs import CostSpec
 from .errors import ValidationError
-from .scopes import Alliance, ScopeProfile
+from .scopes import Alliance
 
 
-class PhasedPlan(Protocol):
-    """Anything that yields (alliance, profile, stop drawdown) phases in order."""
+@dataclass(frozen=True)
+class Phase:
+    """``alliance`` searches at total ``scope`` until the drawdown reaches ``trigger``,
+    member i paying flow cost ``rates[i]``; a maximum of at least ``threshold`` then
+    ends the run for everyone, and ``exit_scale`` scales the reward of agents whose
+    last phase this is."""
 
-    def phases(self) -> object: ...
+    alliance: Alliance
+    scope: float
+    trigger: float
+    rates: dict[int, float]
+    exit_scale: float = 1.0
+    threshold: float = math.inf
+
+
+def plan_phases(plan, costs: Sequence[CostSpec]) -> list[Phase]:
+    """The phases of ``plan``, whose ``phases()`` yields (alliance, scope profile,
+    stop drawdown) in order: alliances must strictly shrink, and drawdowns be
+    finite and strictly increase."""
+    phases: list[Phase] = []
+    prev = 0.0
+    for alliance, profile, drawdown in plan.phases():
+        if phases and not set(alliance) < set(phases[-1].alliance):
+            raise ValidationError("phase alliances must strictly shrink")
+        if not math.isfinite(drawdown) or drawdown <= prev:
+            raise ValidationError(
+                f"phase {len(phases)} drawdown {drawdown} must exceed the previous {prev}"
+            )
+        rates = {i: costs[i].cost(profile.per_agent[i]) for i in alliance}
+        phases.append(Phase(tuple(alliance), profile.total, drawdown, rates))
+        prev = drawdown
+    if not phases:
+        raise ValidationError("plan has no phases")
+    return phases
 
 
 @dataclass(frozen=True)
@@ -55,43 +91,31 @@ def phase_stats(start_gap: float, stop_gap: float, total_scope: float) -> tuple[
     return gain, duration
 
 
-def chain_welfare(plan: PhasedPlan, costs: Sequence[CostSpec]) -> WelfareReport:
+def chain_welfare(plan, costs: Sequence[CostSpec]) -> WelfareReport:
     """Expected payoff per agent for a phased plan started at (M, X) = (0, 0)."""
-    phases = list(plan.phases())
-    if not phases:
-        raise ValidationError("plan has no phases")
-
+    phases = plan_phases(plan, costs)
     per_agent: dict[int, float] = {}
     accrued: dict[int, float] = {}
     stats: list[PhaseStat] = []
     prev_gap = 0.0
-    prev_alliance: set[int] | None = None
-    for k, (alliance, profile, drawdown) in enumerate(phases):
-        members = set(alliance)
-        if prev_alliance is not None and not members < prev_alliance:
-            raise ValidationError("phase alliances must strictly shrink")
-        if not math.isfinite(drawdown) or drawdown <= prev_gap:
-            raise ValidationError(
-                f"phase {k} drawdown {drawdown} must exceed the previous {prev_gap}"
-            )
-        gain, duration = phase_stats(prev_gap, drawdown, profile.total)
-        phase_cost = {i: costs[i].cost(profile.per_agent[i]) * duration for i in alliance}
+    for k, phase in enumerate(phases):
+        gain, duration = phase_stats(prev_gap, phase.trigger, phase.scope)
+        phase_cost = {i: rate * duration for i, rate in phase.rates.items()}
         for i, value in phase_cost.items():
             accrued[i] = accrued.get(i, 0.0) + value
-        stats.append(PhaseStat(alliance, gain, duration, phase_cost))
+        stats.append(PhaseStat(phase.alliance, gain, duration, phase_cost))
 
-        next_members = set(phases[k + 1][0]) if k + 1 < len(phases) else set()
-        for i in sorted(members - next_members):
-            per_agent[i] = drawdown - accrued[i]
-        prev_gap = drawdown
-        prev_alliance = members
+        staying = set(phases[k + 1].alliance) if k + 1 < len(phases) else set()
+        for i in sorted(set(phase.alliance) - staying):
+            per_agent[i] = phase.trigger - accrued[i]
+        prev_gap = phase.trigger
 
     return WelfareReport(
         per_agent=per_agent, total=sum(per_agent.values()), per_phase=tuple(stats)
     )
 
 
-def equilibrium_payoffs(schedule: PhasedPlan, costs: Sequence[CostSpec]) -> WelfareReport:
+def equilibrium_payoffs(schedule, costs: Sequence[CostSpec]) -> WelfareReport:
     """Per-agent equilibrium values; identical mechanics to chain_welfare."""
     return chain_welfare(schedule, costs)
 

@@ -246,3 +246,16 @@ def test_guards_reject_bad_scopes_in_every_input_form(wrap):
         with pytest.raises(CostDomainError) as info:
             getattr(ScaledPower(a=1.0, p=300.0), method)(wrap(100.0))
         assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [float, np.float64, np.array, lambda v: np.array([1.0, v])],
+    ids=["float", "float64", "0d_array", "1d_array"],
+)
+def test_affine_overflow_reaches_the_guard(wrap):
+    # a2 * s * s overflows in numpy; the guard, not a RuntimeWarning, reports it.
+    spec = AffineQuadratic(a2=1e200, a1=0.0, a0=1.0)
+    for method in ("cost", "marginal"):
+        with pytest.raises(CostDomainError, match="sigma=1e"):
+            getattr(spec, method)(wrap(1e200))

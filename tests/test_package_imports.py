@@ -1,0 +1,33 @@
+"""No module of the package imports a private (underscore) name from a sibling."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "teamsearch"
+
+
+def private_imports(source: str) -> list[str]:
+    """``module:name`` for each underscore name a relative or package import takes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "teamsearch"
+        ):
+            found += [f"{node.module}:{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_check_flags_private_sibling_imports():
+    assert private_imports("from .simulate import Phase, _run") == ["simulate:_run"]
+    assert private_imports("from teamsearch.costs import _check_sigma") == ["teamsearch.costs:_check_sigma"]
+    assert private_imports("from math import _x\nfrom .welfare import Phase") == []
+
+
+def test_no_module_imports_a_private_sibling_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    offenders = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: found for name, found in offenders.items() if found} == {}

@@ -24,12 +24,12 @@ from teamsearch.simulate import (
     SimConfig,
     SimOutcome,
     _expected_duration,
-    simulate_equilibrium_vs_planner,
     simulate_phases,
     simulate_schedule,
     stopped_max_distribution_test,
 )
-from teamsearch.welfare import equilibrium_payoffs
+from teamsearch.planner import optimal_chain
+from teamsearch.welfare import chain_welfare, equilibrium_payoffs
 
 WIDE = ScopeBounds(0.1, 10.0)
 
@@ -193,21 +193,6 @@ def test_config_validation():
         SimConfig(t_max=-1.0)
     with pytest.raises(ValidationError):
         SimConfig(seed=-1)
-
-
-def test_equilibrium_vs_planner_comparison():
-    # two symmetric agents: equilibrium total 2/e, planner total 8/e^2,
-    # so the welfare gap is 8/e^2 - 2/e = 0.3469233829...
-    costs = [ScaledExponential(b=1.0), ScaledExponential(b=1.0)]
-    config = SimConfig(dt=2e-4, n_paths=5_000, seed=0, bridge_correction=True)
-    cmp_ = simulate_equilibrium_vs_planner(costs, WIDE, config)
-    assert sum(cmp_.eq_welfare.values()) == pytest.approx(2.0 / math.e, rel=1e-9)
-    assert sum(cmp_.sp_welfare.values()) == pytest.approx(8.0 / math.e**2, rel=1e-9)
-    analytic_gap = 8.0 / math.e**2 - 2.0 / math.e
-    assert abs(cmp_.total_gap - analytic_gap) <= 3.0 * cmp_.total_gap_se  # z = +1.01
-    for agent in (0, 1):
-        assert abs(cmp_.gap_mean[agent] - analytic_gap / 2.0) <= 3.0 * cmp_.gap_se[agent]
-    assert cmp_.total_gap > 0.0
 
 
 def test_non_finite_step_and_horizon_budget_rejected_before_run():
@@ -451,3 +436,26 @@ def test_tile_size_leaves_outcome_unchanged(monkeypatch, tile):
     out = simulate_phases(phases, phases[0].alliance, config)
     assert out.equals(expected)
     assert out.warnings == expected.warnings
+
+
+def test_schedule_and_chain_share_random_numbers():
+    # two symmetric agents: equilibrium total 2/e, planner total 8/e^2,
+    # so the welfare gap is 8/e^2 - 2/e = 0.3469233829...  Both plans run
+    # on one config, so path p sees the same draws in each.
+    costs = [ScaledExponential(b=1.0), ScaledExponential(b=1.0)]
+    config = SimConfig(dt=2e-4, n_paths=5_000, seed=0, bridge_correction=True)
+    schedule = equilibrium_exit_schedule(range(2), costs, WIDE)
+    chain = optimal_chain(costs, WIDE)
+    assert equilibrium_payoffs(schedule, costs).total == pytest.approx(2.0 / math.e, rel=1e-9)
+    assert chain_welfare(chain, costs).total == pytest.approx(8.0 / math.e**2, rel=1e-9)
+    eq_out = simulate_schedule(schedule, costs, config)
+    sp_out = simulate_schedule(chain, costs, config)
+    assert eq_out.agents == sp_out.agents == (0, 1)
+    diffs = sp_out.payoffs - eq_out.payoffs
+    n = diffs.shape[1]
+    total = diffs.sum(axis=0)
+    analytic_gap = 8.0 / math.e**2 - 2.0 / math.e
+    assert abs(total.mean() - analytic_gap) <= 3.0 * total.std(ddof=1) / math.sqrt(n)  # z = +1.01
+    for row in diffs:
+        assert abs(row.mean() - analytic_gap / 2.0) <= 3.0 * row.std(ddof=1) / math.sqrt(n)
+    assert total.mean() > 0.0

@@ -168,3 +168,22 @@ def test_chain_welfare_telescopes_to_half_the_exit_drawdowns():
             checked += 1
             linked += len(exits) > 1
     assert checked >= 20 and linked >= 8
+
+
+def test_welfare_and_simulation_check_a_plan_alike():
+    # Both read the plan through plan_phases, so a bad plan fails them the same way.
+    from teamsearch.simulate import SimConfig, simulate_schedule
+
+    team = make_profile({0: 1.0, 1: 1.0})
+    solo = make_profile({0: 2.0})
+    costs = exp_team([1.0, 1.0])
+    for items, message in (
+        ([], "plan has no phases"),
+        ([((0, 1), team, 1.0), ((0,), solo, 0.5)], "phase 1 drawdown 0.5 must exceed"),
+        ([((0, 1), team, math.inf)], "phase 0 drawdown inf"),
+        ([((0,), solo, 1.0), ((0, 1), team, 2.0)], "strictly shrink"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            chain_welfare(FakePlan(items), costs)
+        with pytest.raises(ValidationError, match=message):
+            simulate_schedule(FakePlan(items), costs, SimConfig(n_paths=1))
