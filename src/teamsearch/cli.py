@@ -330,38 +330,28 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         sim = replace(sim, strict=True)
     costs = list(config.agents)
 
-    checks: list[tuple[str, float, float, float]] = []  # name, analytic, mc, se
+    # Each mode gives the analytic payoffs, the outcome and one more check
+    # (name, analytic, mc mean, mc se).
     if args.mode == "penalty":
         if config.penalty is None:
             raise ValidationError("simulate --mode penalty needs a 'penalty' section")
-        if len(costs) != 2:
-            raise ValidationError("penalty mode requires exactly two agents")
         pconfig = PenaltyConfig(
-            alpha=config.penalty.alpha, costs=(costs[0], costs[1]), bounds=config.scope_bounds
+            alpha=config.penalty.alpha, costs=tuple(costs), bounds=config.scope_bounds
         )
         policy = penalty_policy(pconfig)
         analytic = expected_penalty_payoffs(pconfig, policy)
         outcome = simulate_penalty(pconfig, sim)
-        for agent in outcome.agents:
-            checks.append(
-                (f"payoff_{agent + 1}", analytic[agent],
-                 outcome.mean_payoff(agent), outcome.payoff_se(agent))
-            )
         freq = float((outcome.collapse_wave < 0).mean())
         freq_se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / outcome.n_paths)
-        checks.append(
-            ("continuation_frequency", policy.continuation_probability, freq, freq_se)
-        )
+        extra = ("continuation_frequency", policy.continuation_probability, freq, freq_se)
     else:
         plan, report, _ = _schedule_for_mode(config, args.mode)
+        analytic = report.per_agent
         outcome = simulate_schedule(plan, costs, sim)
-        for agent in outcome.agents:
-            checks.append(
-                (f"payoff_{agent + 1}", report.per_agent[agent],
-                 outcome.mean_payoff(agent), outcome.payoff_se(agent))
-            )
-        total_mean, total_se = outcome.total_payoff()
-        checks.append(("total_payoff", report.total, total_mean, total_se))
+        extra = ("total_payoff", report.total, *outcome.total_payoff())
+    checks = [(f"payoff_{a + 1}", analytic[a], outcome.mean_payoff(a), outcome.payoff_se(a))
+              for a in outcome.agents]
+    checks.append(extra)
 
     rows = [["quantity", "analytic", "mc_mean", "mc_se", "z", "status"]]
     for name, target, mean, se in checks:

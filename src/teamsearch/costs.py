@@ -284,9 +284,12 @@ def validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
         issues.append("cost must be strictly increasing on the scope interval")
     if np.any(k < CONVEXITY_FLOOR):
         issues.append(f"cost curvature must stay above {CONVEXITY_FLOOR}")
-    # Weak log-convexity: c*c'' >= (c')^2 up to rounding slack.
-    gap = c * k - m * m
-    slack = 1e-12 * np.maximum(1.0, np.maximum(np.abs(c * k), m * m))
-    log_convex = bool(np.all(gap >= -slack))
+    # Weak log-convexity, c*c'' >= (c')^2 up to rounding slack, compared in the
+    # scale-free form u >= v^2 with u = c''/c and v = c'/c: the products of c
+    # and its derivatives can overflow where the ratios do not.
+    log_convex = False
+    if np.all(c > 0):
+        u, v2 = k / c, (m / c) ** 2
+        log_convex = bool(np.all(u - v2 >= -1e-12 * np.maximum(1.0, np.maximum(np.abs(u), v2))))
 
     return CostValidation(valid=not issues, log_convex=log_convex, issues=tuple(issues))

@@ -8,13 +8,16 @@ reward scaled by alpha.  Continuing from running maximum M is worth it
 exactly when M is below a threshold; the threshold follows from
 indifference at the switch point and the memoryless gain/cost of a solo
 continuation phase.
+
+``penalty_policy`` keeps this plan as ``welfare.Phase`` values (the team
+phase, then the follower's solo phase), which the closed-form payoffs and
+the path engine both read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import ValidationError
@@ -58,6 +61,7 @@ class PenaltyPolicy:
     continuation_drawdown: float  # solo stop gap, already scaled by alpha
     threshold: float  # continue alone iff M at first exit < threshold
     continues: bool  # whether a continuation regime exists at all
+    phases: tuple[Phase, ...]  # the team phase, then the solo phase if the follower continues
 
     @property
     def continuation_probability(self) -> float:
@@ -71,9 +75,8 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
     costs = list(config.costs)
     team_profile = equilibrium_scopes((0, 1), costs, config.bounds)
     total = team_profile.total
-    drawdowns = [
-        total * total / (2.0 * costs[i].cost(team_profile.per_agent[i])) for i in (0, 1)
-    ]
+    rates = {i: costs[i].cost(team_profile.per_agent[i]) for i in (0, 1)}
+    drawdowns = [total * total / (2.0 * rates[i]) for i in (0, 1)]
     leader = 0 if drawdowns[0] <= drawdowns[1] else 1
     follower = 1 - leader
     trigger = drawdowns[leader]
@@ -92,6 +95,10 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
         gap = continuation_drawdown - trigger
         threshold = (rate / (sigma * sigma)) * gap * gap / (1.0 - config.alpha)
 
+    phases = [Phase((0, 1), total, trigger, rates, threshold=threshold if continues else math.inf)]
+    if continues:
+        phases.append(Phase((follower,), sigma, continuation_drawdown, {follower: rate},
+                            exit_scale=config.alpha))
     return PenaltyPolicy(
         alpha=config.alpha,
         leader=leader,
@@ -102,31 +109,28 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
         continuation_drawdown=continuation_drawdown,
         threshold=threshold,
         continues=continues,
+        phases=tuple(phases),
     )
 
 
 def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None = None) -> dict[int, float]:
-    """Closed-form expected payoffs for leader and follower."""
+    """Closed-form expected payoffs for leader and follower, read from the policy's phases."""
     if policy is None:
         policy = penalty_policy(config)
-    costs = config.costs
-    d = policy.trigger
-    s_team = policy.team_profile.total
-    team_duration = d * d / (s_team * s_team)
+    team = policy.phases[0]
+    d = team.trigger
+    team_duration = d * d / (team.scope * team.scope)
 
-    leader_rate = costs[policy.leader].cost(policy.team_profile.per_agent[policy.leader])
-    leader_value = d - leader_rate * team_duration
+    leader_value = d - team.rates[policy.leader] * team_duration
 
-    follower_rate_team = costs[policy.follower].cost(policy.team_profile.per_agent[policy.follower])
-    value = -follower_rate_team * team_duration
-    alpha = policy.alpha
-    dc = policy.continuation_drawdown
+    value = -team.rates[policy.follower] * team_duration
     if not policy.continues:
         value += d  # joint exit pays the full maximum
     else:
-        sigma = policy.solo_profile.per_agent[policy.follower]
-        solo_rate = costs[policy.follower].cost(sigma)
-        m_bar = policy.threshold
+        solo = policy.phases[1]
+        alpha, dc, sigma = solo.exit_scale, solo.trigger, solo.scope
+        solo_rate = solo.rates[policy.follower]
+        m_bar = team.threshold
         stay = math.exp(-m_bar / d) if math.isfinite(m_bar) else 0.0  # P(exit with leader)
         q = 1.0 - stay
         # E[M 1{M >= m_bar}] for M ~ Exp(d) is (m_bar + d) * stay
@@ -140,30 +144,4 @@ def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None
 
 def simulate_penalty(config: PenaltyConfig, sim: SimConfig) -> SimOutcome:
     """Monte Carlo run of the penalty equilibrium policy."""
-    policy = penalty_policy(config)
-    costs = config.costs
-    rates = {
-        i: costs[i].cost(policy.team_profile.per_agent[i]) for i in (0, 1)
-    }
-    phases = [
-        Phase(
-            alliance=(0, 1),
-            scope=policy.team_profile.total,
-            trigger=policy.trigger,
-            rates=rates,
-            exit_scale=1.0,
-            threshold=policy.threshold if policy.continues else math.inf,
-        )
-    ]
-    if policy.continues:
-        sigma = policy.solo_profile.per_agent[policy.follower]
-        phases.append(
-            Phase(
-                alliance=(policy.follower,),
-                scope=sigma,
-                trigger=policy.continuation_drawdown,
-                rates={policy.follower: costs[policy.follower].cost(sigma)},
-                exit_scale=policy.alpha,
-            )
-        )
-    return simulate_phases(phases, (0, 1), sim)
+    return simulate_phases(penalty_policy(config).phases, (0, 1), sim)

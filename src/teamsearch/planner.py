@@ -58,13 +58,10 @@ class _Links:
         self.cache = cache or ProfileCache(planner_scopes)
         self.costs = costs
         self.bounds = bounds
-        self._profiles: dict[Alliance, ScopeProfile] = {}
         self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
 
     def profile(self, alliance: Alliance) -> ScopeProfile:
-        if alliance not in self._profiles:
-            self._profiles[alliance] = self.cache.profile(alliance, self.costs, self.bounds)
-        return self._profiles[alliance]
+        return self.cache.profile(alliance, self.costs, self.bounds)
 
     def cost_per_speed(self, alliance: Alliance) -> float:
         if alliance not in self._cost_per_speed:
@@ -196,7 +193,6 @@ def brute_force_optimal_chain(
     costs: Sequence[CostSpec],
     bounds: ScopeBounds,
     wellordered: bool | None = None,
-    cache: ProfileCache | None = None,
 ) -> tuple[AllianceChain, WelfareReport]:
     """Welfare-maximal feasible chain by exhaustive enumeration (oracle)."""
     if wellordered is None:
@@ -205,7 +201,7 @@ def brute_force_optimal_chain(
             wellordered = True
         except ValidationError:
             wellordered = False
-    links = _Links(costs, bounds, cache)
+    links = _Links(costs, bounds)
     best: tuple[AllianceChain, WelfareReport] | None = None
     for skeleton in enumerate_chains(range(len(costs)), wellordered):
         chain = _build_chain(links, skeleton)

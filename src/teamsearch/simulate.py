@@ -2,7 +2,7 @@
 
 The engine runs a list of ``welfare.Phase``: the phase type the closed-form
 welfare reads too.  ``simulate_schedule`` takes it from ``plan_phases`` of an
-exit schedule or planner chain; the penalty extension builds its own.
+exit schedule or planner chain; ``simulate_penalty`` from the penalty policy.
 
 Paths follow dX = S_k dB within phase k and fire wave k when the gap M - X
 first reaches the phase trigger.  Discretization at step dt biases first

@@ -12,3 +12,9 @@ def pytest_configure(config):
     src = str(config.rootpath / "src")
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     os.environ["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(paths))
+    # A numpy RuntimeWarning in a CLI subprocess fails its test, as one in this
+    # process does under pyproject's `filterwarnings`; a filter already set in
+    # PYTHONWARNINGS is kept.
+    warnings = [*filter(None, os.environ.get("PYTHONWARNINGS", "").split(",")),
+                "error::RuntimeWarning"]
+    os.environ["PYTHONWARNINGS"] = ",".join(dict.fromkeys(warnings))

@@ -438,3 +438,18 @@ def test_unsorted_team_over_chain_limit_exits_two_quickly(tmp_path, command):
     # A sorted team of the same size takes the greedy chain, which has no limit.
     doc["agents"].sort(key=lambda agent: agent["beta"])
     assert run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "agent, hi",
+    [({"family": "scaled_exponential", "b": 1.0}, 400.0),
+     ({"family": "affine_quadratic", "a2": 1e200, "a1": 0.0, "a0": 1.0}, 4.0)],
+    ids=["exponential", "affine"],
+)
+def test_validate_is_quiet_where_cost_products_overflow(tmp_path, agent, hi):
+    doc = {"agents": [agent], "scope_bounds": {"lo": 0.1, "hi": hi}}
+    result = run_cli("validate", write_scenario(tmp_path, doc))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    (echoed,) = json.loads(result.stdout)["agents"]
+    assert echoed.items() >= agent.items()

@@ -259,3 +259,20 @@ def test_affine_overflow_reaches_the_guard(wrap):
     for method in ("cost", "marginal"):
         with pytest.raises(CostDomainError, match="sigma=1e"):
             getattr(spec, method)(wrap(1e200))
+
+
+@pytest.mark.parametrize(
+    "spec, bounds, log_convex",
+    [
+        # c*c'' = exp(2s) overflows past s = 355, though c itself does not.
+        (ScaledExponential(b=1.0), ScopeBounds(0.1, 400.0), True),
+        # c*c'' = 2e200 * (1e200 s^2 + 1) overflows; s^2 + 1 is log-concave past s = 1.
+        (AffineQuadratic(a2=1e200, a1=0.0, a0=1.0), ScopeBounds(0.1, 4.0), False),
+    ],
+    ids=["exponential", "affine"],
+)
+def test_log_convexity_flag_where_cost_products_overflow(spec, bounds, log_convex):
+    # The test configuration turns a numpy RuntimeWarning into an error.
+    report = validate_cost(spec, bounds)
+    assert report.valid, report.issues
+    assert report.log_convex is log_convex

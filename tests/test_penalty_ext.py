@@ -17,7 +17,7 @@ from teamsearch.penalty import (
     penalty_policy,
     simulate_penalty,
 )
-from teamsearch.simulate import SimConfig, simulate_schedule
+from teamsearch.simulate import SimConfig, simulate_phases, simulate_schedule
 
 WIDE = ScopeBounds(0.1, 10.0)
 PAIR = (ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=20.0))
@@ -155,3 +155,41 @@ def test_config_validation():
         PenaltyConfig(alpha=math.nan, costs=PAIR, bounds=WIDE)
     with pytest.raises(ValidationError):
         PenaltyConfig(alpha=0.5, costs=(PAIR[0],), bounds=WIDE)
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_policy_phases_are_the_simulated_plan(alpha):
+    config = PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE)
+    policy = penalty_policy(config)
+    team = policy.phases[0]
+    assert team.alliance == (0, 1) and team.scope == policy.team_profile.total
+    assert team.trigger == policy.trigger and team.exit_scale == 1.0
+    assert team.rates == {i: PAIR[i].cost(policy.team_profile.per_agent[i]) for i in (0, 1)}
+    if not policy.continues:
+        assert len(policy.phases) == 1 and team.threshold == math.inf
+    else:
+        assert team.threshold == policy.threshold
+        (solo,) = policy.phases[1:]
+        sigma = policy.solo_profile.per_agent[policy.follower]
+        assert solo.alliance == (policy.follower,) and solo.scope == sigma
+        assert solo.trigger == policy.continuation_drawdown and solo.exit_scale == alpha
+        assert solo.rates == {policy.follower: PAIR[policy.follower].cost(sigma)}
+    sim = SimConfig(dt=1e-3, n_paths=200, seed=3)
+    assert simulate_penalty(config, sim).equals(simulate_phases(policy.phases, (0, 1), sim))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+def test_expected_payoffs_read_rates_from_the_phases(alpha):
+    calls = [0]
+
+    class CountingExponential(ScaledExponential):
+        def cost(self, sigma):
+            calls[0] += 1
+            return super().cost(sigma)
+
+    costs = tuple(CountingExponential(b=spec.b, beta=spec.beta) for spec in PAIR)
+    config = PenaltyConfig(alpha=alpha, costs=costs, bounds=WIDE)
+    policy = penalty_policy(config)
+    calls[0] = 0
+    values = expected_penalty_payoffs(config, policy)
+    assert calls[0] == 0
+    assert values == expected_penalty_payoffs(PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE))

@@ -360,3 +360,25 @@ def test_dp_chain_refuses_equal_consecutive_drawdowns(monkeypatch):
     dp = optimal_chain(costs, ROOMY)
     brute, _ = brute_force_optimal_chain(costs, ROOMY, wellordered=False)
     assert dp == brute
+
+
+def test_optimum_over_all_nested_chains_uses_suffix_alliances():
+    # The paper's claim for proportional costs ordered cheapest-last: the best
+    # chain over *all* nested chains (the DP, exact up to MAX_CHAIN_AGENTS)
+    # uses suffix alliances only, so it is the greedy chain.
+    from teamsearch.planner import _dp_optimal_chain
+
+    # 33 of these 40 chains have several phases (25-37 over seeds 0-9).
+    rng = np.random.default_rng(0)
+    multi_phase = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        betas = np.sort(np.exp(rng.uniform(0.0, 7.0, size=n)))
+        costs = exp_team(betas, b=float(rng.uniform(0.5, 2.0)))
+        greedy = greedy_wellordered_chain(costs, ROOMY)
+        dp = _dp_optimal_chain(costs, ROOMY, None)
+        assert dp.alliances == greedy.alliances
+        assert dp.drawdowns == greedy.drawdowns
+        assert chain_welfare(dp, costs).total == chain_welfare(greedy, costs).total
+        multi_phase += len(greedy.alliances) > 1
+    assert multi_phase >= 30
