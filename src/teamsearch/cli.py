@@ -44,6 +44,7 @@ from .scopes import (
     equilibrium_scopes,
     planner_profiles,
     planner_scopes,
+    reply_pattern,
 )
 from .simulate import SimConfig, SimOutcome, simulate_schedule
 from .welfare import chain_welfare, equilibrium_payoffs
@@ -255,8 +256,9 @@ def cmd_solve(config: ScenarioConfig, args: argparse.Namespace) -> int:
         drawdowns = equilibrium_drawdowns(team, profile, costs)
         per_agent = {i: drawdowns.per_agent[i] for i in team}
     else:
-        profile = planner_scopes(team, costs, config.scope_bounds)
-        shared = planner_drawdown(team, (), costs, config.scope_bounds)
+        cache = ProfileCache(planner_scopes)
+        profile = cache.profile(team, costs, config.scope_bounds)
+        shared = planner_drawdown(team, (), costs, config.scope_bounds, cache)
         per_agent = {i: shared for i in team}
     for i in team:
         sigma = profile.per_agent[i]
@@ -387,6 +389,11 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
     bounds = config.scope_bounds
     beta2s, beta3s = _scan_grid(scan)
     rows = [["beta2", "beta3", "equilibrium", "planner"]]
+    # An equilibrium profile depends on the costs only through their reply
+    # keys (all ("exp", b) here) and which agents share a spec, so one memo
+    # keyed by them serves the whole scan.  Planner profiles depend on every
+    # multiplier: one memo per grid row, whose cells share sub-alliances.
+    eq_cache = ProfileCache(equilibrium_scopes, reply_pattern)
     for b3 in beta3s:
         cells = {
             b2: [ScaledExponential(b=rate), ScaledExponential(b=rate, beta=b2),
@@ -394,12 +401,12 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
             for b2 in beta2s
             if b3 > b2 > 1.0
         }
-        # One memo per grid row, whose cells share sub-alliances.  The agents
-        # get cheaper by index, so both the cascade and the greedy chain use
-        # suffix alliances only: those are solved for the whole row in batched
-        # passes before its cells run (anything else is solved when asked for).
+        # The agents get cheaper by index, so both the cascade and the greedy
+        # chain use suffix alliances only: those are solved for the whole row
+        # in batched passes before its cells run (anything else is solved
+        # when asked for).
         problems = [(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))]
-        eq_cache, sp_cache = ProfileCache(equilibrium_scopes), ProfileCache(planner_scopes)
+        sp_cache = ProfileCache(planner_scopes)
         eq_cache.prefetch(problems, bounds, equilibrium_profiles)
         sp_cache.prefetch(problems, bounds, planner_profiles)
         for b2 in beta2s:

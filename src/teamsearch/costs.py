@@ -9,19 +9,25 @@ common-multiplier system).
 
 ``CostFamily`` owns what all families share: finite parameters, the sign and
 finiteness guards (numpy overflow goes quietly to the finiteness guard), the
-one return rule (a float for scalar or 0-d input, an array otherwise),
+one return rule (a float for scalar or 0-d input, an array otherwise, by the
+shape of the result so that a stacked spec gives its column),
 ``cost``/``marginal``/``curvature``, the default ratio 2*c/c' and the
 parameter check ``validate_cost`` reports.  A family supplies its c, c' and
 c'' expressions on a float array (``_c``, ``_dc``, ``_d2c``),
 ``scope_at_ratio``, ``inverse_marginal``, its parameter rules (``_rules``),
 ``proportional_key`` and ``cost_multiplier``, and a closed-form ``ratio``
-where one exists.
+where one exists, with the ``reply_key`` that ratio depends on.
+
+``SpecStack`` evaluates many specs of one family as one spec whose varying
+parameters are columns, so each element takes the operations its own spec's
+call would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -55,12 +61,13 @@ class ScopeBounds:
 
 
 def _scalar(x) -> bool:
-    """The return rule: scalar and 0-d inputs give a float, arrays an array."""
     return isinstance(x, float) or np.ndim(x) == 0
 
 
-def _shaped(out, x):
-    return float(out) if _scalar(x) else out
+def _shaped(out):
+    """The return rule on a result: a float for a scalar or 0-d result (which a
+    scalar argument gives, unless the spec is stacked), an array otherwise."""
+    return float(out) if _scalar(out) else out
 
 
 def _check_sigma(sigma) -> None:
@@ -74,6 +81,9 @@ class CostFamily:
     """Base of the cost families; see the module docstring for the split of work."""
 
     ratio_constant = None  # 2*c/c' where it does not depend on sigma
+    # Parameters a SpecStack keeps as one scalar (numpy has fast paths for
+    # some scalar exponents); specs stack only when these are equal.
+    stack_scalars = ()
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, vars(self).values())):
@@ -85,7 +95,7 @@ class CostFamily:
         _check_sigma(sigma)
         out = expr(np.asarray(sigma, dtype=float))
         if math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all():
-            return _shaped(out, sigma)
+            return _shaped(out)
         bad = float(np.ravel(sigma)[~np.isfinite(np.ravel(out))][0])  # the first offender
         raise CostDomainError(f"{self!r} produced a non-finite value at sigma={bad!r}")
 
@@ -107,6 +117,16 @@ class CostFamily:
     def parameter_issues(self) -> list[str]:
         """The family's parameter rules this spec breaks."""
         return [issue for ok, issue in self._rules() if not ok]
+
+    def reply_key(self):
+        """All that ``ratio``, ``ratio_constant`` and ``scope_at_ratio`` read of
+        this spec: specs with equal keys have the same best replies, bit for bit.
+        By default the spec itself."""
+        return self
+
+    def stack_key(self) -> tuple:
+        """Specs with equal keys evaluate together in one SpecStack."""
+        return (type(self), *(getattr(self, name) for name in self.stack_scalars))
 
 
 @dataclass(frozen=True)
@@ -143,7 +163,7 @@ class ScaledExponential(CostFamily):
 
     def inverse_marginal(self, lam):
         # c'(sigma) = lam  =>  sigma = log(lam * beta / b) / b
-        return _shaped(np.log(np.asarray(lam, dtype=float) * self.beta / self.b) / self.b, lam)
+        return _shaped(np.log(np.asarray(lam, dtype=float) * self.beta / self.b) / self.b)
 
     def _rules(self):
         return ((self.b > 0, "rate b must be positive"),
@@ -151,6 +171,9 @@ class ScaledExponential(CostFamily):
 
     def proportional_key(self) -> tuple:
         return ("exp", self.b)
+
+    def reply_key(self) -> tuple:
+        return ("exp", self.b)  # the ratio is 2/b whatever beta
 
     def cost_multiplier(self) -> float:
         # cost = (family base) / multiplier; larger multiplier = cheaper agent.
@@ -164,6 +187,7 @@ class ScaledPower(CostFamily):
     a: float
     p: float
     beta: float = 1.0
+    stack_scalars = ("p",)
 
     def _c(self, s):
         return self.a * s ** self.p / self.beta
@@ -176,15 +200,15 @@ class ScaledPower(CostFamily):
 
     def ratio(self, sigma):
         _check_sigma(sigma)
-        return _shaped(2.0 * np.asarray(sigma, dtype=float) / self.p, sigma)
+        return _shaped(2.0 * np.asarray(sigma, dtype=float) / self.p)
 
     def scope_at_ratio(self, target):
         # 2*sigma/p = target
-        return _shaped(self.p * np.asarray(target, dtype=float) / 2.0, target)
+        return _shaped(self.p * np.asarray(target, dtype=float) / 2.0)
 
     def inverse_marginal(self, lam):
         base = np.asarray(lam, dtype=float) * self.beta / (self.a * self.p)
-        return _shaped(np.maximum(base, 0.0) ** (1.0 / (self.p - 1.0)), lam)
+        return _shaped(np.maximum(base, 0.0) ** (1.0 / (self.p - 1.0)))
 
     def _rules(self):
         return ((self.a > 0, "coefficient a must be positive"),
@@ -193,6 +217,9 @@ class ScaledPower(CostFamily):
 
     def proportional_key(self) -> tuple:
         return ("pow", self.p)
+
+    def reply_key(self) -> tuple:
+        return ("pow", self.p)  # the ratio is 2*sigma/p whatever a and beta
 
     def cost_multiplier(self) -> float:
         return self.beta / self.a
@@ -231,10 +258,10 @@ class AffineQuadratic(CostFamily):
             lo_root = (-B - sq) / (2.0 * A)
             hi_root = (-B + sq) / (2.0 * A)
         out = np.where(lo_root > 0.0, lo_root, hi_root)
-        return _shaped(np.where((disc < 0.0) | (out <= 0.0), np.inf, out), target)
+        return _shaped(np.where((disc < 0.0) | (out <= 0.0), np.inf, out))
 
     def inverse_marginal(self, lam):
-        return _shaped((np.asarray(lam, dtype=float) - self.a1) / (2.0 * self.a2), lam)
+        return _shaped((np.asarray(lam, dtype=float) - self.a1) / (2.0 * self.a2))
 
     def _rules(self):
         return ((self.a2 > 0, "quadratic coefficient a2 must be positive"),
@@ -249,6 +276,36 @@ class AffineQuadratic(CostFamily):
 
 
 CostSpec = CostFamily
+
+
+class SpecStack:
+    """Specs with one stack key, evaluated together.
+
+    ``take(rows)`` is a spec of their family whose varying parameters are
+    (len(rows), 1) columns, row j holding those of ``specs[rows[j]]``, and
+    whose ``stack_scalars`` are the specs' shared values.  Its methods take a
+    (len(rows), m) array, and each element goes through the same operations
+    as a call of its own spec would.  The stacked spec skips the parameter
+    checks (every spec has passed them) and cannot be hashed; its errors name
+    the stack, not a spec.
+    """
+
+    def __init__(self, specs: Sequence[CostFamily]):
+        first = specs[0]
+        self.family = type(first)
+        self.scalars = {name: getattr(first, name) for name in first.stack_scalars}
+        self.names = [f.name for f in fields(first) if f.name not in self.scalars]
+        self.columns = [np.array([getattr(spec, name) for spec in specs], dtype=float)
+                        for name in self.names]
+
+    def take(self, rows: np.ndarray) -> CostFamily:
+        spec = object.__new__(self.family)
+        for name, column in zip(self.names, self.columns):
+            object.__setattr__(spec, name, column[rows, None])
+        for name, value in self.scalars.items():
+            object.__setattr__(spec, name, value)
+        return spec
+
 # Scenario-file family name of each cost class.
 FAMILIES: dict[str, type] = {
     "scaled_exponential": ScaledExponential,

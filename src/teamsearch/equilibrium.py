@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError
 from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, equilibrium_scopes
+from .scopes import reply_pattern
 
 # Drawdowns within this (scaled) tolerance of the minimum exit together.
 TIE_TOL = 1e-12
@@ -101,7 +102,7 @@ def equilibrium_exit_schedule(
     members = as_alliance(team, len(costs))
     if not members:
         raise ValueError("team must be non-empty")
-    cache = cache or ProfileCache(equilibrium_scopes)
+    cache = cache or ProfileCache(equilibrium_scopes, reply_pattern)
 
     def solved(alliance: Alliance) -> ScopeProfile:
         try:

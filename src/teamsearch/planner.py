@@ -84,11 +84,13 @@ def planner_drawdown(
     successor: Iterable[int],
     costs: Sequence[CostSpec],
     bounds: ScopeBounds,
+    cache: ProfileCache | None = None,
 ) -> float:
     """Optimal stop drawdown for one chain link; successor may be empty.
 
     Dominated links yield non-positive or infinite values, which are returned
-    as-is (chain feasibility is judged by the caller).
+    as-is (chain feasibility is judged by the caller).  ``cache``, a
+    ProfileCache of ``planner_scopes``, may hold the link's profiles already.
     """
     cur = as_alliance(current, len(costs))
     suc = as_alliance(successor, len(costs))
@@ -96,7 +98,7 @@ def planner_drawdown(
         raise ValueError("current alliance must be non-empty")
     if not set(suc) < set(cur):
         raise ValueError(f"successor {suc} must be a proper subset of {cur}")
-    return _drawdown(_Links(costs, bounds), cur, suc)
+    return _drawdown(_Links(costs, bounds, cache), cur, suc)
 
 
 def _build_chain(

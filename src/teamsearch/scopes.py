@@ -7,10 +7,15 @@ h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.
 
-Problems are solved in batched passes of (problems x grid) arrays, each
-distinct cost spec evaluated once per round over all its rows; a single solve
-is a pass of one problem.  Each row does the arithmetic of a solve alone, so
-a profile does not depend on its batch.
+Problems are solved in batched passes of (problems x grid) arrays.  Each
+round evaluates the terms at one member position of all rows by stack key:
+one call per cost family (and power exponent), on a spec stacked over the
+rows.  A single solve is a pass of one problem.  Each row does the
+arithmetic of a solve alone, so a profile does not depend on its batch.
+
+An equilibrium solve reads of a cost spec only its reply key, so
+``ProfileCache(equilibrium_scopes, reply_pattern)`` shares one profile among
+all cost lists whose members have the same reply keys and share specs alike.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, ScopeBounds
+from .costs import CostSpec, ScopeBounds, SpecStack
 from .errors import SolverError, TeamSearchError
 
 Alliance = tuple[int, ...]
@@ -124,38 +129,67 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
     return roots, values
 
 
-def _slots(terms: list[list]) -> list[tuple[list, np.ndarray | None]]:
-    """Per term position: the distinct terms of all rows there, and each row's
-    index among them (-1: none), or None when every row has the one same term."""
+@dataclass(frozen=True)
+class _Position:
+    """The terms at one term position of a pass's rows, grouped by stack key."""
+
+    stacks: list[SpecStack]
+    stack: np.ndarray  # each row's index in stacks (-1: no term there)
+    index: np.ndarray  # each row's spec index in its stack
+    count: np.ndarray  # each row's count of agents with that spec
+
+
+def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list:
+    """Per term position of the rows' (spec, count) terms: that term when every
+    row has the one same term there, else a ``_Position``."""
     slots = []
     for k in range(max(map(len, terms))):
-        distinct: dict = {}
-        ids = [distinct.setdefault(t[k], len(distinct)) if k < len(t) else -1 for t in terms]
-        slots.append((list(distinct), None if ids == [0] * len(ids) else np.array(ids)))
+        here = [t[k] if k < len(t) else None for t in terms]
+        if all(t == here[0] for t in here[1:]):
+            slots.append(here[0])
+            continue
+        stacks: dict[tuple, dict[CostSpec, int]] = {}
+        placed = []  # per row: (stack index, spec index in it, count)
+        for term in here:
+            if term is None:
+                placed.append((-1, 0, 0))
+                continue
+            spec, cnt = term
+            key = spec.stack_key()
+            specs = stacks.setdefault(key, {})
+            placed.append((list(stacks).index(key), specs.setdefault(spec, len(specs)), cnt))
+        slots.append(_Position([SpecStack(list(specs)) for specs in stacks.values()],
+                               *np.array(placed).T))
     return slots
 
 
-def _by_term(slots: list[tuple[list, np.ndarray | None]], rows: np.ndarray):
+def _by_term(slots: list, rows: np.ndarray):
     """Per term position: the ``rows`` entries with a term there, ordered so each
-    term's entries are contiguous, and (term, slice of that order) per present term.
+    stack's entries are contiguous, their counts, and (spec, slice of that
+    order) per present stack, the spec stacked over the slice's entries.
 
     Accumulating position by position adds each row's terms in that row's order.
     """
-    for distinct, ids in slots:
-        if ids is None:
-            yield slice(None), [(distinct[0], slice(None))]
+    for slot in slots:
+        if not isinstance(slot, _Position):
+            spec, cnt = slot
+            yield slice(None), cnt, [(spec, slice(None))]
             continue
-        at = ids[rows]
+        at = slot.stack[rows]
         order = np.argsort(at, kind="stable")
-        cuts = np.searchsorted(at[order], np.arange(len(distinct) + 1)).tolist()
-        yield order[cuts[0]:], [
-            (term, slice(lo - cuts[0], hi - cuts[0]))
-            for term, lo, hi in zip(distinct, cuts, cuts[1:])
-            if hi > lo
+        cuts = np.searchsorted(at[order], np.arange(len(slot.stacks) + 1)).tolist()
+        order = order[cuts[0]:]
+        picked = rows[order]
+        index = slot.index[picked]
+        parts = [slice(lo - cuts[0], hi - cuts[0]) for lo, hi in zip(cuts, cuts[1:])]
+        yield order, slot.count[picked, None], [
+            (stack.take(index[part]), part)
+            for stack, part in zip(slot.stacks, parts)
+            if part.stop > part.start
         ]
 
 
-def _member_specs(problems) -> list[dict[int, CostSpec]]:
+def _problem_specs(problems) -> list[dict[int, CostSpec]]:
     """Each (alliance, costs) problem's members, sorted, mapped to their cost specs."""
     out = [{i: costs[i] for i in as_alliance(alliance, len(costs))} for alliance, costs in problems]
     if not all(out):
@@ -176,7 +210,8 @@ def _in_passes(solve_pass, problems, bounds: ScopeBounds) -> list[ScopeProfile |
 
 
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
-    """Vectorized best-reply scope for one agent across candidate totals."""
+    """Vectorized best-reply scope for one agent (or a stacked spec's agents,
+    one a row) across candidate totals."""
     rc = spec.ratio_constant
     if rc is not None:
         return np.where(rc > totals, bounds.hi, bounds.lo)
@@ -189,7 +224,7 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
 
 
 def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
-    rows = _member_specs(problems)
+    rows = _problem_specs(problems)
     n = np.array([len(specs) for specs in rows])
     grids = np.linspace(n * bounds.lo, n * bounds.hi, SCAN_POINTS, axis=1)
     # Agents with equal specs reply alike: one term (spec, count) per distinct spec.
@@ -197,11 +232,12 @@ def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
 
     def reply_gap(totals: np.ndarray, at: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(totals)
-        for order, terms in _by_term(slots, at):
+        for order, cnt, terms in _by_term(slots, at):
             x = totals[order]
             reply = np.empty_like(x)
-            for (spec, cnt), part in terms:
-                reply[part] = cnt * _reply_grid(spec, bounds, x[part])
+            for spec, part in terms:
+                reply[part] = _reply_grid(spec, bounds, x[part])
+            reply *= cnt
             acc[order] += reply
         acc -= totals
         return acc
@@ -286,15 +322,19 @@ def equilibrium_scopes(
 
 
 def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
-    rows = _member_specs(problems)
-    lam_lo = [0.999 * min(spec.marginal(bounds.lo) for spec in specs.values()) for specs in rows]
-    lam_hi = [1.001 * max(spec.marginal(bounds.hi) for spec in specs.values()) for specs in rows]
+    rows = _problem_specs(problems)
+    # c' at each bound, once per distinct spec, all at lo first as a single solve does.
+    distinct = dict.fromkeys(spec for specs in rows for spec in specs.values())
+    at_lo = {spec: spec.marginal(bounds.lo) for spec in distinct}
+    at_hi = {spec: spec.marginal(bounds.hi) for spec in distinct}
+    lam_lo = [0.999 * min(at_lo[spec] for spec in specs.values()) for specs in rows]
+    lam_hi = [1.001 * max(at_hi[spec] for spec in specs.values()) for specs in rows]
     grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
-    slots = _slots([list(specs.values()) for specs in rows])
+    slots = _slots([[(spec, 1) for spec in specs.values()] for specs in rows])
 
     def gap(lam: np.ndarray, at: np.ndarray) -> np.ndarray:
         cost_sum, scope_sum = np.zeros_like(lam), np.zeros_like(lam)
-        for order, terms in _by_term(slots, at):
+        for order, _, terms in _by_term(slots, at):
             x = lam[order]
             sig, cost = np.empty_like(x), np.empty_like(x)
             for spec, part in terms:
@@ -357,8 +397,7 @@ def _planner_profile(
             + "; selected smallest"
         )
 
-    sig = {i: float(np.clip(spec.inverse_marginal(lam), bounds.lo, bounds.hi))
-           for i, spec in specs.items()}
+    sig = {i: bounds.clip(spec.inverse_marginal(lam)) for i, spec in specs.items()}
     total = sum(sig.values())
     residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
     if residual > 1e-10 * max(1.0, lam * total):
@@ -394,21 +433,37 @@ def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]
     return _in_passes(_planner_pass, problems, bounds)
 
 
+def member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
+    """The members' cost specs: all of them that any solve reads."""
+    return tuple(costs[i] for i in alliance)
+
+
+def reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
+    """All that an equilibrium solve reads of the members' specs: their reply
+    keys, and which members share a spec (a pass sums one reply per distinct
+    spec, so splitting or merging equal specs changes the rounding)."""
+    specs = tuple(costs[i] for i in alliance)
+    return tuple(spec.reply_key() for spec in specs), tuple(map(specs.index, specs))
+
+
 class ProfileCache:
     """Profiles from ``solve(alliance, costs, bounds)``, each solved once.
 
-    Entries are keyed by (alliance, member specs, bounds), all that a solve
-    reads, so one cache serves any number of cost lists.
+    Entries are keyed by (alliance, ``key(alliance, costs)``, bounds), which
+    must hold all that a solve reads, so one cache serves any number of cost
+    lists.  ``key`` is ``member_specs`` by default; ``reply_pattern`` suits
+    ``equilibrium_scopes``.
     """
 
-    def __init__(self, solve):
+    def __init__(self, solve, key=member_specs):
         self.solve = solve
+        self.key = key
         self._profiles: dict[tuple, ScopeProfile] = {}
 
     def profile(
         self, alliance: Alliance, costs: Sequence[CostSpec], bounds: ScopeBounds
     ) -> ScopeProfile:
-        key = (alliance, tuple(costs[i] for i in alliance), bounds)
+        key = (alliance, self.key(alliance, costs), bounds)
         if key not in self._profiles:
             self._profiles[key] = self.solve(alliance, costs, bounds)
         return self._profiles[key]
@@ -419,7 +474,7 @@ class ProfileCache:
         A problem it gives None for is left to ``profile``, which solves it
         alone and so raises its error as that solve would.
         """
-        todo = {(a, tuple(c[i] for i in a), bounds): (a, c) for a, c in problems}
+        todo = {(a, self.key(a, c), bounds): (a, c) for a, c in problems}
         todo = {key: problem for key, problem in todo.items() if key not in self._profiles}
         for key, prof in zip(list(todo), solve_many(list(todo.values()), bounds)):
             if prof is not None:

@@ -674,3 +674,121 @@ REFERENCE = {
     equilibrium_scopes: reference_equilibrium_scopes,
     planner_scopes: reference_planner_scopes,
 }
+
+
+def _stacked_problem_sets(seed):
+    """Seeded (bounds, problems) sets whose passes stack many specs per family.
+
+    Every drawn spec has its own beta (or a, or affine coefficients), scaled
+    powers mix p in {2, 2.5, 3, 4}, and about a quarter of the members reuse
+    an earlier spec, within a team or across teams.
+    """
+    rng = np.random.default_rng(seed)
+
+    def spec(family):
+        if family == 0:
+            return ScaledExponential(b=float(rng.choice([0.5, 1.0, 2.0])),
+                                     beta=float(rng.uniform(1.0, 20.0)))
+        if family == 1:
+            return ScaledPower(a=float(rng.uniform(0.2, 3.0)),
+                               p=float(rng.choice([2.0, 2.5, 3.0, 4.0])),
+                               beta=float(rng.uniform(1.0, 5.0)))
+        return AffineQuadratic(float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 1.0)),
+                               float(rng.uniform(0.05, 3.0)))
+
+    for bounds in (WIDE, ScopeBounds(0.01, 50.0), ScopeBounds(0.5, 2.5)):
+        drawn, problems = [], []
+        for _ in range(64):
+            costs = []
+            for _ in range(int(rng.integers(1, 5))):
+                if drawn and rng.random() < 0.25:
+                    costs.append(drawn[int(rng.integers(len(drawn)))])
+                else:
+                    drawn.append(spec(int(rng.integers(3))))
+                    costs.append(drawn[-1])
+            problems.append((tuple(range(len(costs))), costs))
+        yield bounds, problems
+
+
+def test_stacked_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
+    # Passes of PASS_ROWS = 16 rows evaluate each member position's terms by
+    # stack key, so one call covers many specs; every grid value must still
+    # equal the per-spec reference solver's.
+    assert scopes_module.PASS_ROWS == 16
+    this = sys.modules[__name__]
+    captured = {"batched": [], "reference": []}
+    stacked = set()
+
+    def capturing(real, into):
+        def roots(fn, grid):
+            found, values = real(fn, grid)
+            if grid.shape[-1] == SCAN_POINTS:
+                into.extend(np.atleast_2d(values))
+            return found, values
+        return roots
+
+    real_take = scopes_module.SpecStack.take
+
+    def take(stack, rows):
+        if len(set(rows.tolist())) > 1:
+            stacked.add(stack.family.__name__)
+        return real_take(stack, rows)
+
+    monkeypatch.setattr(scopes_module.SpecStack, "take", take)
+    monkeypatch.setattr(scopes_module, "_roots",
+                        capturing(scopes_module._roots, captured["batched"]))
+    monkeypatch.setattr(this, "_reference_roots",
+                        capturing(_reference_roots, captured["reference"]))
+    compared = 0
+    for bounds, problems in _stacked_problem_sets(5):
+        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
+                            (planner_scopes, planner_profiles)):
+            solvable = [
+                (a, c) for a, c in problems
+                if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
+            ]
+            captured["batched"].clear()
+            captured["reference"].clear()
+            references = [REFERENCE[solve](a, c, bounds) for a, c in solvable]
+            assert many(solvable, bounds) == references
+            assert len(captured["batched"]) == len(captured["reference"]) == len(solvable)
+            for got, want in zip(captured["batched"], captured["reference"]):
+                assert got.tobytes() == want.tobytes()
+            compared += len(solvable)
+    assert compared > 200
+    assert stacked == {"ScaledExponential", "ScaledPower", "AffineQuadratic"}
+
+
+def test_stacked_spec_takes_columns_and_keeps_exponents_scalar():
+    specs = [ScaledPower(a=1.0, p=3.0, beta=2.0), ScaledPower(a=2.5, p=3.0)]
+    stack = scopes_module.SpecStack(specs)
+    spec = stack.take(np.array([1, 0, 1]))
+    assert spec.p == 3.0 and spec.a.shape == spec.beta.shape == (3, 1)
+    sigma = np.linspace(0.1, 2.0, 12).reshape(3, 4)
+    for row, k in enumerate([1, 0, 1]):
+        assert spec.cost(sigma)[row].tobytes() == specs[k].cost(sigma[row]).tobytes()
+    assert specs[0].stack_key() == specs[1].stack_key() != ScaledPower(a=1.0, p=2.0).stack_key()
+
+
+def test_reply_pattern_memo_keeps_split_and_merged_specs_apart():
+    # The two exponential agents share one spec (their replies are summed as
+    # 2 * reply) or have two (reply + reply, in member order): the same reply
+    # keys, but a different residual in the last bits.
+    bounds = ScopeBounds(0.01, 50.0)
+    merged = [ScaledPower(a=1.0, p=3.0), ScaledExponential(b=1.0), ScaledExponential(b=1.0)]
+    split = [ScaledPower(a=1.0, p=3.0), ScaledExponential(b=1.0),
+             ScaledExponential(b=1.0, beta=2.0)]
+    rescaled = [ScaledPower(a=2.0, p=3.0, beta=1.5), ScaledExponential(b=1.0, beta=3.0),
+                ScaledExponential(b=1.0, beta=3.0)]
+    team = (0, 1, 2)
+    assert equilibrium_scopes(team, merged, bounds) != equilibrium_scopes(team, split, bounds)
+    for first, second in ((merged, split), (split, merged)):
+        cache = ProfileCache(equilibrium_scopes, scopes_module.reply_pattern)
+        one, two = cache.profile(team, first, bounds), cache.profile(team, second, bounds)
+        assert len(cache._profiles) == 2
+        assert one == equilibrium_scopes(team, first, bounds)
+        assert two == equilibrium_scopes(team, second, bounds)
+    # Scaled copies that share specs alike reuse the entry, and equal a fresh solve.
+    assert cache.profile(team, rescaled, bounds) is cache.profile(team, merged, bounds)
+    assert len(cache._profiles) == 2
+    assert cache.profile(team, rescaled, bounds) == equilibrium_scopes(team, rescaled, bounds)
