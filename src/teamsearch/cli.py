@@ -404,8 +404,9 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
         # The agents get cheaper by index, so both the cascade and the greedy
         # chain use suffix alliances only: those are solved for the whole row
         # in batched passes before its cells run (anything else is solved
-        # when asked for).
-        problems = [(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))]
+        # when asked for).  Listed largest alliance first, a pass finds each
+        # member position's terms in one run of rows (scopes._by_term).
+        problems = [(a, c) for a in ((0, 1, 2), (1, 2), (2,)) for c in cells.values()]
         sp_cache = ProfileCache(planner_scopes)
         eq_cache.prefetch(problems, bounds, equilibrium_profiles)
         sp_cache.prefetch(problems, bounds, planner_profiles)

@@ -8,15 +8,18 @@ its inverse, and the inverse marginal cost (used by the planner's
 common-multiplier system).
 
 ``CostFamily`` owns what all families share: finite parameters, the sign and
-finiteness guards (numpy overflow goes quietly to the finiteness guard), the
+finiteness guards (numpy overflow goes quietly to the finiteness guard; a
+scalar scope far below the overflow edge, by a family bound, skips them), the
 one return rule (a float for scalar or 0-d input, an array otherwise, by the
 shape of the result so that a stacked spec gives its column),
 ``cost``/``marginal``/``curvature``, the default ratio 2*c/c' and the
 parameter check ``validate_cost`` reports.  A family supplies its c, c' and
 c'' expressions on a float array (``_c``, ``_dc``, ``_d2c``),
 ``scope_at_ratio``, ``inverse_marginal``, its parameter rules (``_rules``),
-``proportional_key`` and ``cost_multiplier``, and a closed-form ``ratio``
-where one exists, with the ``reply_key`` that ratio depends on.
+the scalar scope below which its c, c' and c'' cannot overflow
+(``_scalar_bound``), ``proportional_key`` and ``cost_multiplier``, and a
+closed-form ``ratio`` where one exists, with the ``reply_key`` that ratio
+depends on.
 
 ``SpecStack`` evaluates many specs of one family as one spec whose varying
 parameters are columns, so each element takes the operations its own spec's
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +43,9 @@ SCOPE_FLOOR = 1e-9
 CONVEXITY_FLOOR = 1e-9
 # Grid resolution used by validate_cost.
 VALIDATION_GRID = 1001
+# Natural log of the largest magnitude a scalar evaluation may reach without
+# numpy's error state (float64 overflows past about 709.78).
+SCALAR_LOG_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,23 @@ class CostFamily:
         if not all(map(math.isfinite, vars(self).values())):
             raise ValueError("parameters must be finite")
 
-    @np.errstate(all="ignore")  # a non-finite value goes to the guard, not to a warning
+    @cached_property
+    def _scalar_limit(self) -> float:
+        """Scalar scopes in [0, this] keep every step of c, c' and c'' within a
+        small factor of exp(SCALAR_LOG_LIMIT), so they cannot overflow and need
+        no error state or finiteness check; -inf (none) for a spec that breaks
+        its family's parameter rules."""
+        return -math.inf if self.parameter_issues() else self._scalar_bound()
+
     def _evaluate(self, expr, sigma):
-        """``expr`` of sigma as a float array, behind the sign and finiteness guards."""
+        """``expr`` of sigma as a float array, behind the sign and finiteness
+        guards, which a scalar within ``_scalar_limit`` skips (same bits)."""
+        if isinstance(sigma, float) and 0.0 <= sigma <= self._scalar_limit:
+            return float(expr(np.asarray(sigma, dtype=float)))
+        return self._guarded(expr, sigma)
+
+    @np.errstate(all="ignore")  # a non-finite value goes to the guard, not to a warning
+    def _guarded(self, expr, sigma):
         _check_sigma(sigma)
         out = expr(np.asarray(sigma, dtype=float))
         if math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all():
@@ -108,8 +129,14 @@ class CostFamily:
     def curvature(self, sigma):
         return self._evaluate(self._d2c, sigma)
 
+    def bare_cost(self, s: np.ndarray) -> np.ndarray:
+        """``cost`` of a float array without the guards or an error state of its
+        own, for a caller that sets one and checks finiteness itself."""
+        return self._c(s)
+
     def ratio(self, sigma):
-        return self._evaluate(self._ratio, sigma)
+        # 2c/c' can overflow where c and c' do not: always guarded.
+        return self._guarded(self._ratio, sigma)
 
     def _ratio(self, s):
         return 2.0 * self._c(s) / self._dc(s)
@@ -149,6 +176,10 @@ class ScaledExponential(CostFamily):
 
     def _d2c(self, s):
         return self.b * self.b * np.exp(self.b * s) / self.beta
+
+    def _scalar_bound(self) -> float:
+        # Every step is at most max(1, b)**2 * exp(b * s), with beta >= 1.
+        return (SCALAR_LOG_LIMIT - 2.0 * max(0.0, math.log(self.b))) / self.b
 
     def ratio(self, sigma):
         _check_sigma(sigma)
@@ -198,6 +229,11 @@ class ScaledPower(CostFamily):
     def _d2c(self, s):
         return self.a * self.p * (self.p - 1.0) * s ** (self.p - 2.0) / self.beta
 
+    def _scalar_bound(self) -> float:
+        # Every step is at most a * p * p * max(1, s)**p, with beta >= 1.
+        room = SCALAR_LOG_LIMIT - max(0.0, math.log(self.a) + 2.0 * math.log(self.p))
+        return math.exp(room / self.p) if room >= 0.0 else -math.inf
+
     def ratio(self, sigma):
         _check_sigma(sigma)
         return _shaped(2.0 * np.asarray(sigma, dtype=float) / self.p)
@@ -241,6 +277,11 @@ class AffineQuadratic(CostFamily):
 
     def _d2c(self, s):
         return np.full(np.shape(s), 2.0 * self.a2)
+
+    def _scalar_bound(self) -> float:
+        # Every step is at most 3 * max(a2, a1, a0) * max(1, s)**2.
+        room = SCALAR_LOG_LIMIT - max(0.0, math.log(max(self.a2, self.a1, self.a0)))
+        return math.exp(room / 2.0) if room >= 0.0 else -math.inf
 
     def scope_at_ratio(self, target):
         """Smallest positive scope with 2*c/c' equal to target; +inf when none exists.
@@ -304,6 +345,7 @@ class SpecStack:
             object.__setattr__(spec, name, column[rows, None])
         for name, value in self.scalars.items():
             object.__setattr__(spec, name, value)
+        object.__setattr__(spec, "_scalar_limit", -math.inf)  # columns: always guarded
         return spec
 
 # Scenario-file family name of each cost class.

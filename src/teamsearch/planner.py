@@ -240,14 +240,17 @@ def _dp_optimal_chain(
     # Solved in the order brute force first reaches them, so a failing solve
     # raises the error brute force would.
     order = [team, *successors(team)[1:]]
-    links.cache.prefetch([(a, costs) for a in order], bounds, planner_profiles)
+    by_size = order[1:] + order[:1]  # smallest alliances first
+    # Listed by size, a pass finds each member position's terms in one run of
+    # rows (scopes._by_term); a problem the prefetch fails is solved in order.
+    links.cache.prefetch([(a, costs) for a in by_size], bounds, planner_profiles)
     for alliance in order:
         links.cost_per_speed(alliance)
 
     best: dict[tuple[Alliance, Alliance], tuple[float, float]] = {}  # link -> (d, F)
     # Per alliance: its links' sorted drawdowns, and the suffix maxima of their F.
     tails: dict[Alliance, tuple[list[float], list[float]]] = {(): ([], [0.0])}
-    for a in order[1:] + order[:1]:  # smallest alliances first
+    for a in by_size:
         for b in successors(a):
             d = _drawdown(links, a, b)
             if math.isfinite(d) and d > 0.0:

@@ -12,6 +12,11 @@ round evaluates the terms at one member position of all rows by stack key:
 one call per cost family (and power exponent), on a spec stacked over the
 rows.  A single solve is a pass of one problem.  Each row does the
 arithmetic of a solve alone, so a profile does not depend on its batch.
+A position whose terms are one run of rows of one stack (as when a pass
+lists its problems by alliance size) is read and summed through a row
+slice, not an index array.  The planner gap takes one error state per call
+and checks its costs once, through their sum; k-section compares signs by
+``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
 ``ProfileCache(equilibrium_scopes, reply_pattern)`` shares one profile among
@@ -96,27 +101,37 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
     values = fn(grid, np.arange(len(grid)))
     zero = np.abs(values) <= ZERO_TOL
     found_rows, found = [np.nonzero(zero)[0]], [grid[zero]]
-    row, col = np.nonzero(~zero[:, :-1] & ~zero[:, 1:] & ~(values[:, :-1] * values[:, 1:] > 0))
-    a, b, fa = grid[row, col], grid[row, col + 1], values[row, col]
+    # Signs are compared as products of np.sign, which cannot overflow.
+    sign = np.sign(values)
+    row, col = np.nonzero(~zero[:, :-1] & ~zero[:, 1:] & ~(sign[:, :-1] * sign[:, 1:] > 0))
+    a, b, side = grid[row, col], grid[row, col + 1], sign[row, col]
     frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
     while True:
         mid = 0.5 * (a + b)
         done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
-        found_rows.append(row[done])
-        found.append(mid[done])
-        a, b, fa, row = a[~done], b[~done], fa[~done], row[~done]
+        if done.any():
+            found_rows.append(row[done])
+            found.append(mid[done])
+            a, b, side, row = a[~done], b[~done], side[~done], row[~done]
         if not a.size:
             break
         inner = a[:, None] + (b - a)[:, None] * frac
-        # The last column stands in for the right end, where the sign differs.
-        f = np.column_stack([fn(inner, row), -fa])
-        k = np.argmax((f == 0.0) | (fa[:, None] * f < 0), axis=1)
-        pts = np.column_stack([a, inner, b])
+        f = fn(inner, row)
+        hit = (f == 0.0) | (side[:, None] * f < 0)
         i = np.arange(len(a))
-        exact = f[i, k] == 0.0
-        found_rows.append(row[exact])
-        found.append(pts[i, k + 1][exact])
-        a, b, fa, row = pts[i, k][~exact], pts[i, k + 1][~exact], fa[~exact], row[~exact]
+        k = np.argmax(hit, axis=1)
+        # Sub-interval k runs from point k to point k + 1 of a, inner, b.  With
+        # no interior change the sign changes against b, in the last one (but
+        # a nan at a changes sign nowhere, and argmax keeps the first).
+        k[~hit[i, k] & ~np.isnan(side)] = SCAN_POINTS
+        j = np.minimum(k, SCAN_POINTS - 1)
+        a = np.where(k > 0, inner[i, k - 1], a)
+        b = np.where(k < SCAN_POINTS, inner[i, j], b)
+        exact = f[i, j] == 0.0
+        if exact.any():
+            found_rows.append(row[exact])
+            found.append(b[exact])
+            a, b, side, row = a[~exact], b[~exact], side[~exact], row[~exact]
     roots: list[list[float]] = [[] for _ in grid]
     for r, x in zip(np.concatenate(found_rows).tolist(), np.concatenate(found).tolist()):
         roots[r].append(x)
@@ -168,7 +183,9 @@ def _by_term(slots: list, rows: np.ndarray):
     stack's entries are contiguous, their counts, and (spec, slice of that
     order) per present stack, the spec stacked over the slice's entries.
 
-    Accumulating position by position adds each row's terms in that row's order.
+    The order is a slice when the entries are one run of one stack (always
+    so when the pass's specs share one stack key and its problems are listed
+    by alliance size), else an index array.
     """
     for slot in slots:
         if not isinstance(slot, _Position):
@@ -182,11 +199,48 @@ def _by_term(slots: list, rows: np.ndarray):
         picked = rows[order]
         index = slot.index[picked]
         parts = [slice(lo - cuts[0], hi - cuts[0]) for lo, hi in zip(cuts, cuts[1:])]
-        yield order, slot.count[picked, None], [
-            (stack.take(index[part]), part)
-            for stack, part in zip(slot.stacks, parts)
-            if part.stop > part.start
-        ]
+        terms = [(stack.take(index[part]), part)
+                 for stack, part in zip(slot.stacks, parts) if part.stop > part.start]
+        if not terms:  # no entry has a term here
+            continue
+        # One stack's entries keep their ascending order.
+        first, last = order[[0, -1]].tolist()
+        if len(terms) == 1 and last - first + 1 == len(order):
+            order = slice(first, last + 1)
+        yield order, slot.count[picked, None], terms
+
+
+def _row_sums(slots: list, x: np.ndarray, at: np.ndarray, term) -> list[np.ndarray]:
+    """Per output of ``term(spec, xs, cnt)``, each row's sum over its terms.
+
+    Row j of ``x`` belongs to pass row ``at[j]``; ``term`` gets the rows of
+    ``x`` that have a term at one position, the spec stacked over them and
+    their counts, and returns fresh arrays shaped like ``xs``.  The sums run
+    position by position, so each row adds its terms in its own order; they
+    start from position 0's terms, which every row has (0 + t is t).
+    """
+    sums: list[np.ndarray] = []
+    for order, cnt, terms in _by_term(slots, at):
+        xs = x[order]
+        if len(terms) == 1:
+            vals = term(terms[0][0], xs, cnt)
+        else:
+            vals = []
+            for spec, part in terms:
+                got = term(spec, xs[part], cnt[part])
+                vals = vals or [np.empty_like(xs) for _ in got]
+                for into, value in zip(vals, got):
+                    into[part] = value
+        if not sums and isinstance(order, slice):
+            sums = list(vals)
+        elif not sums:
+            sums = [np.empty_like(x) for _ in vals]
+            for into, value in zip(sums, vals):
+                into[order] = value
+        else:
+            for into, value in zip(sums, vals):
+                into[order] += value
+    return sums
 
 
 def _problem_specs(problems) -> list[dict[int, CostSpec]]:
@@ -231,14 +285,8 @@ def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
     slots = _slots([list(Counter(specs.values()).items()) for specs in rows])
 
     def reply_gap(totals: np.ndarray, at: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(totals)
-        for order, cnt, terms in _by_term(slots, at):
-            x = totals[order]
-            reply = np.empty_like(x)
-            for spec, part in terms:
-                reply[part] = _reply_grid(spec, bounds, x[part])
-            reply *= cnt
-            acc[order] += reply
+        [acc] = _row_sums(slots, totals, at,
+                          lambda spec, x, cnt: [_reply_grid(spec, bounds, x) * cnt])
         acc -= totals
         return acc
 
@@ -332,19 +380,26 @@ def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
     grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
     slots = _slots([[(spec, 1) for spec in specs.values()] for specs in rows])
 
+    def gap_terms(cost):
+        def term(spec, x, _):
+            sig = np.clip(spec.inverse_marginal(x), bounds.lo, bounds.hi)
+            return cost(spec, sig), sig
+        return term
+
+    fast, guarded = gap_terms(CostSpec.bare_cost), gap_terms(CostSpec.cost)
+
     def gap(lam: np.ndarray, at: np.ndarray) -> np.ndarray:
-        cost_sum, scope_sum = np.zeros_like(lam), np.zeros_like(lam)
-        for order, _, terms in _by_term(slots, at):
-            x = lam[order]
-            sig, cost = np.empty_like(x), np.empty_like(x)
-            for spec, part in terms:
-                sig[part] = np.clip(spec.inverse_marginal(x[part]), bounds.lo, bounds.hi)
-                cost[part] = spec.cost(sig[part])
-            cost_sum[order] += cost
-            scope_sum[order] += sig
-        cost_sum *= 2.0
-        scope_sum *= lam
-        cost_sum -= scope_sum
+        # One error state for the whole gap: 2 * sum(C) - lam * sum(sigma) may
+        # overflow to -inf quietly, and a cost is checked through its sum.
+        with np.errstate(all="ignore"):
+            cost_sum, scope_sum = _row_sums(slots, lam, at, fast)
+            if not np.isfinite(cost_sum).all():
+                # The guarded cost() raises for the first non-finite term, as
+                # a solve alone would; finite terms with an infinite sum pass.
+                cost_sum, scope_sum = _row_sums(slots, lam, at, guarded)
+            cost_sum *= 2.0
+            scope_sum *= lam
+            cost_sum -= scope_sum
         return cost_sum
 
     roots, gaps = _roots(gap, grids)

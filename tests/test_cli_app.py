@@ -453,3 +453,22 @@ def test_validate_is_quiet_where_cost_products_overflow(tmp_path, agent, hi):
     assert result.stderr == ""
     (echoed,) = json.loads(result.stdout)["agents"]
     assert echoed.items() >= agent.items()
+
+
+@pytest.mark.parametrize(
+    "agents, hi",
+    [([{"family": "scaled_exponential", "b": 1.0, "beta": 1.0},
+       {"family": "scaled_exponential", "b": 1.0, "beta": 3.0}], 400.0),
+     ([{"family": "scaled_exponential", "b": 0.5}], 1418.0)],
+    ids=["gap-signs", "multiplier-times-scope"],
+)
+@pytest.mark.parametrize("command", ["solve", "schedule"])
+def test_planner_is_quiet_where_gaps_overflow(tmp_path, agents, hi, command):
+    # Valid scenarios whose planner gaps pass 1e154 (so a product of two gap
+    # values overflows) or whose lam * sigma overflows at the top multiplier.
+    path = write_scenario(tmp_path, {"agents": agents, "scope_bounds": {"lo": 0.1, "hi": hi}})
+    assert run_cli("validate", path).returncode == 0
+    result = run_cli(command, path, "--mode", "sp")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert parse_table(result.stdout)[0]

@@ -8,13 +8,16 @@ team's equilibrium profile does not read the cost scale (beta, a).
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamsearch.costs import AffineQuadratic, ScaledExponential, ScaledPower, ScopeBounds
-from teamsearch.errors import TeamSearchError
+from teamsearch.errors import CostDomainError, TeamSearchError
 from teamsearch.scopes import equilibrium_scopes
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
@@ -140,3 +143,51 @@ def test_equilibrium_profile_ignores_cost_scale(members, lo, spread, data):
         return [specs[key] for key in members]
 
     assert solved(draw_team(), bounds) == solved(draw_team(), bounds)
+
+
+METHODS_WITH_SCALAR_PATH = ("cost", "marginal", "curvature")
+
+
+def first_raising(method) -> float:
+    """The smallest float scope at which ``method`` raises (inf if none does): a
+    bisection over the bit patterns of the non-negative floats, which are
+    ordered like the floats."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))
+    assert not isinstance(outcome(method, 0.0), tuple)
+    if not isinstance(outcome(method, np.inf), tuple):
+        return np.inf  # a constant curvature
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(outcome(method, float(np.int64(mid).view(np.float64))), tuple):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+@PROPERTY
+@given(SPECS, st.lists(floats(0.0, 1.2), min_size=1, max_size=8))
+def test_scalar_path_keeps_bits_and_errors_up_to_the_overflow_edge(spec, fractions):
+    # A float scope within the spec's scalar limit skips the error state and
+    # the guards; a 0-d array always takes the guarded path, as every scalar
+    # did before.  Both must give the same bits, or the same error, with no
+    # warning, on each side of the scope where the value overflows.
+    limit = spec._scalar_limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in METHODS_WITH_SCALAR_PATH:
+            method = getattr(spec, name)
+            edge = first_raising(method)
+            assert 0.0 < limit < edge
+            xs = [limit, float(np.nextafter(limit, np.inf))]
+            if math.isfinite(edge):
+                below = float(np.nextafter(edge, 0.0))
+                assert type(outcome(method, below)) is float
+                xs += [below, edge, float(np.nextafter(edge, np.inf)), 1.01 * edge]
+            scale = edge if math.isfinite(edge) else 2.0 * limit
+            for x in xs + [u * scale for u in fractions]:
+                got = outcome(method, x)
+                assert bits(got) == bits(outcome(method, np.array(x)))
+                if x >= edge:
+                    assert got[0] is CostDomainError
+                    assert got[1] == f"{spec!r} produced a non-finite value at sigma={x!r}"

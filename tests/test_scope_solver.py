@@ -16,7 +16,7 @@ from teamsearch.costs import (
     ScaledPower,
     ScopeBounds,
 )
-from teamsearch.errors import SolverError, TeamSearchError
+from teamsearch.errors import CostDomainError, SolverError, TeamSearchError
 from teamsearch.scopes import (
     INTERIOR_TOL,
     ROOT_TOL,
@@ -792,3 +792,48 @@ def test_reply_pattern_memo_keeps_split_and_merged_specs_apart():
     assert cache.profile(team, rescaled, bounds) is cache.profile(team, merged, bounds)
     assert len(cache._profiles) == 2
     assert cache.profile(team, rescaled, bounds) == equilibrium_scopes(team, rescaled, bounds)
+
+
+def test_planner_gap_overflow_raises_the_guarded_cost_error():
+    # The gap checks costs once, through their sum; a non-finite sum
+    # re-evaluates the terms through the guarded cost(), so the error is the
+    # one a member's own cost() raises.
+    costs, bounds = [ScaledPower(a=5e305, p=2.0)], ScopeBounds(0.1, 100.0)
+    text = ("ScaledPower(a=5e+305, p=2.0, beta=1.0) produced a non-finite value "
+            "at sigma=18.97192945909745")
+    for solve in (planner_scopes, reference_planner_scopes):
+        with pytest.raises(CostDomainError) as raised:
+            solve((0,), costs, bounds)
+        assert str(raised.value) == text
+    assert planner_profiles([((0,), costs)], bounds) == [None]
+
+
+def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatch):
+    # One row of the 96-step scenarios/scan.json (beta3 = 12): cell-major is
+    # how the row's problems were once listed, alliance-major how scan lists
+    # them.  Alliance-major, every member position's terms are one run of
+    # rows, so the pass reads them through slices.
+    b3 = 12.0
+    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
+              ScaledExponential(b=1.0, beta=b3)]
+             for b2 in np.arange(1, 97) * 0.25 if b3 > b2 > 1.0]
+    alliances = ((0, 1, 2), (1, 2), (2,))
+    cell_major = [(a, c) for c in cells for a in alliances]
+    alliance_major = [(a, c) for a in alliances for c in cells]
+    orders = []
+    real_by_term = scopes_module._by_term
+
+    def recording(slots, rows):
+        for order, cnt, terms in real_by_term(slots, rows):
+            orders.append(order)
+            yield order, cnt, terms
+
+    for many in (equilibrium_profiles, planner_profiles):
+        before = dict(zip(map(repr, cell_major), many(cell_major, WIDE)))
+        monkeypatch.setattr(scopes_module, "_by_term", recording)
+        after = dict(zip(map(repr, alliance_major), many(alliance_major, WIDE)))
+        monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
+        assert None not in after.values()
+        assert after == before
+    assert len(cells) == 43 and len(orders) > 100
+    assert all(isinstance(order, slice) for order in orders)
