@@ -29,7 +29,7 @@ import numpy as np
 
 from .costs import FAMILIES, CostSpec, ScaledExponential, ScopeBounds, validate_cost
 from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
-from .errors import SimulationError, SolverError, TeamSearchError, ValidationError
+from .errors import TeamSearchError, ValidationError
 from .penalty import (
     PenaltyConfig,
     PenaltySpec,
@@ -40,14 +40,13 @@ from .penalty import (
 from .planner import optimal_chain, planner_drawdown
 from .scopes import (
     ProfileCache,
-    equilibrium_profiles,
     equilibrium_scopes,
     planner_profiles,
     planner_scopes,
     reply_pattern,
 )
 from .simulate import SimConfig, SimOutcome, simulate_schedule
-from .welfare import chain_welfare, equilibrium_payoffs
+from .welfare import chain_welfare
 
 FMT = "%.10g"
 
@@ -281,13 +280,13 @@ def _schedule_for_mode(config: ScenarioConfig, mode: str):
     costs = list(config.agents)
     if mode == "eq":
         plan = equilibrium_exit_schedule(team, costs, config.scope_bounds)
-        return plan, equilibrium_payoffs(plan, costs), None
-    plan = optimal_chain(costs, config.scope_bounds)
-    return plan, chain_welfare(plan, costs), plan.trace
+    else:
+        plan = optimal_chain(costs, config.scope_bounds)
+    return plan, chain_welfare(plan, costs)
 
 
 def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    plan, report, trace = _schedule_for_mode(config, args.mode)
+    plan, report = _schedule_for_mode(config, args.mode)
     phase_list = list(plan.phases())
     waves = _chain_waves([alliance for alliance, _, _ in phase_list])
     rows = [["wave", "members", "drawdown", "welfare"]]
@@ -295,10 +294,10 @@ def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
         welfare = sum(report.per_agent[i] for i in exiting)
         rows.append([str(k), _wave_label(exiting), _fmt(drawdown), _fmt(welfare)])
     comments = [f"# mode: {args.mode}", f"# total_welfare: {_fmt(report.total)}"]
-    if trace is not None:
+    if args.mode == "sp" and plan.trace:  # a greedy chain's picks; a DP chain has none
         n = len(config.agents)
         comments.append(
-            "# greedy_trace: " + " | ".join(_wave_label(range(j, n)) for j in trace)
+            "# greedy_trace: " + " | ".join(_wave_label(range(j, n)) for j in plan.trace)
         )
     _emit(rows, comments, args.out)
     return 0
@@ -347,7 +346,7 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         freq_se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / outcome.n_paths)
         extra = ("continuation_frequency", policy.continuation_probability, freq, freq_se)
     else:
-        plan, report, _ = _schedule_for_mode(config, args.mode)
+        plan, report = _schedule_for_mode(config, args.mode)
         analytic = report.per_agent
         outcome = simulate_schedule(plan, costs, sim)
         extra = ("total_payoff", report.total, *outcome.total_payoff())
@@ -391,8 +390,9 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
     rows = [["beta2", "beta3", "equilibrium", "planner"]]
     # An equilibrium profile depends on the costs only through their reply
     # keys (all ("exp", b) here) and which agents share a spec, so one memo
-    # keyed by them serves the whole scan.  Planner profiles depend on every
-    # multiplier: one memo per grid row, whose cells share sub-alliances.
+    # keyed by them, filled by the cascade as it goes, serves the whole scan.
+    # Planner profiles depend on every multiplier: one memo per grid row,
+    # whose cells share sub-alliances.
     eq_cache = ProfileCache(equilibrium_scopes, reply_pattern)
     for b3 in beta3s:
         cells = {
@@ -401,15 +401,12 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
             for b2 in beta2s
             if b3 > b2 > 1.0
         }
-        # The agents get cheaper by index, so both the cascade and the greedy
-        # chain use suffix alliances only: those are solved for the whole row
-        # in batched passes before its cells run (anything else is solved
-        # when asked for).  Listed largest alliance first, a pass finds each
-        # member position's terms in one run of rows (scopes._by_term).
-        problems = [(a, c) for a in ((0, 1, 2), (1, 2), (2,)) for c in cells.values()]
+        # The agents get cheaper by index, so the greedy chain uses suffix
+        # alliances only: those are solved for the whole row in batched passes
+        # before its cells run (anything else is solved when asked for).
         sp_cache = ProfileCache(planner_scopes)
-        eq_cache.prefetch(problems, bounds, equilibrium_profiles)
-        sp_cache.prefetch(problems, bounds, planner_profiles)
+        sp_cache.prefetch([(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))],
+                          bounds, planner_profiles)
         for b2 in beta2s:
             if b2 not in cells:
                 rows.append([_fmt(b2), _fmt(b3), "", ""])
@@ -496,7 +493,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, SimulationError, TeamSearchError) as exc:
+    except TeamSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -104,41 +104,36 @@ def equilibrium_exit_schedule(
         raise ValueError("team must be non-empty")
     cache = cache or ProfileCache(equilibrium_scopes, reply_pattern)
 
-    def solved(alliance: Alliance) -> ScopeProfile:
+    def drawdowns(alliance: Alliance) -> tuple[ScopeProfile, DrawdownSet]:
         try:
-            return cache.profile(alliance, costs, bounds)
+            profile = cache.profile(alliance, costs, bounds)
         except SolverError as exc:
             raise SolverError(f"scope solve failed for sub-alliance {alliance}: {exc}") from exc
+        return profile, equilibrium_drawdowns(alliance, profile, costs)
 
     waves: list[Wave] = []
-    current = members
-    prev_trigger = -math.inf
-    while current:
-        profile = solved(current)
-        dset = equilibrium_drawdowns(current, profile, costs)
+    # A remainder that pulls no one in is the next alliance, already solved.
+    rest, settled = members, drawdowns(members)
+    while rest:
+        current, (profile, dset) = rest, settled
         d_star = dset.trigger
         exiting = set(dset.first_exiters)
         rest = tuple(i for i in current if i not in exiting)
+        tie = TIE_TOL * max(1.0, d_star)
         while rest:
-            rest_dset = equilibrium_drawdowns(rest, solved(rest), costs)
-            pulled = {
-                j
-                for j in rest
-                if rest_dset.per_agent[j] - d_star <= TIE_TOL * max(1.0, d_star)
-            }
+            settled = drawdowns(rest)
+            pulled = {j for j in rest if settled[1].per_agent[j] - d_star <= tie}
             if not pulled:
                 break
             exiting |= pulled
             rest = tuple(i for i in current if i not in exiting)
-        if d_star <= prev_trigger:
+        if waves and d_star <= waves[-1].trigger:
             raise SolverError(
-                f"wave triggers failed to increase: {d_star} after {prev_trigger}"
+                f"wave triggers failed to increase: {d_star} after {waves[-1].trigger}"
             )
         waves.append(
             Wave(exiting=as_alliance(exiting), trigger=d_star, alliance=current, profile=profile)
         )
-        prev_trigger = d_star
-        current = rest
     return ExitSchedule(team=members, waves=tuple(waves))
 
 

@@ -238,14 +238,12 @@ def _dp_optimal_chain(
     links = _Links(costs, bounds, cache)
     team = tuple(range(n))
     # Solved in the order brute force first reaches them, so a failing solve
-    # raises the error brute force would.
+    # (one the prefetch left unsolved) raises the error brute force would.
     order = [team, *successors(team)[1:]]
-    by_size = order[1:] + order[:1]  # smallest alliances first
-    # Listed by size, a pass finds each member position's terms in one run of
-    # rows (scopes._by_term); a problem the prefetch fails is solved in order.
-    links.cache.prefetch([(a, costs) for a in by_size], bounds, planner_profiles)
+    links.cache.prefetch([(a, costs) for a in order], bounds, planner_profiles)
     for alliance in order:
         links.cost_per_speed(alliance)
+    by_size = order[1:] + order[:1]  # smallest alliances first
 
     best: dict[tuple[Alliance, Alliance], tuple[float, float]] = {}  # link -> (d, F)
     # Per alliance: its links' sorted drawdowns, and the suffix maxima of their F.

@@ -12,10 +12,10 @@ round evaluates the terms at one member position of all rows by stack key:
 one call per cost family (and power exponent), on a spec stacked over the
 rows.  A single solve is a pass of one problem.  Each row does the
 arithmetic of a solve alone, so a profile does not depend on its batch.
-A position whose terms are one run of rows of one stack (as when a pass
-lists its problems by alliance size) is read and summed through a row
-slice, not an index array.  The planner gap takes one error state per call
-and checks its costs once, through their sum; k-section compares signs by
+A position whose terms are one run of rows of one stack (prefetch lists
+problems largest alliance first) is read and summed through a row slice,
+not an index array.  The planner gap takes one error state per call and
+checks its costs once, through their sum; k-section compares signs by
 ``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
@@ -107,7 +107,8 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
     a, b, side = grid[row, col], grid[row, col + 1], sign[row, col]
     frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
     while True:
-        mid = 0.5 * (a + b)
+        with np.errstate(over="ignore"):  # brackets above ~9e307 have an inf midpoint
+            mid = 0.5 * (a + b)
         done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
         if done.any():
             found_rows.append(row[done])
@@ -526,12 +527,14 @@ class ProfileCache:
     def prefetch(self, problems, bounds: ScopeBounds, solve_many) -> None:
         """Solve the uncached (alliance, costs) problems together by ``solve_many``.
 
-        A problem it gives None for is left to ``profile``, which solves it
-        alone and so raises its error as that solve would.
+        They go to it largest alliance first (a stable sort), so in each pass
+        every member position's terms are one run of rows, read through a
+        slice.  A problem it gives None for is left to ``profile``, which
+        solves it alone and so raises its error as that solve would.
         """
         todo = {(a, self.key(a, c), bounds): (a, c) for a, c in problems}
-        todo = {key: problem for key, problem in todo.items() if key not in self._profiles}
-        for key, prof in zip(list(todo), solve_many(list(todo.values()), bounds)):
+        keys = sorted((key for key in todo if key not in self._profiles), key=lambda k: -len(k[0]))
+        for key, prof in zip(keys, solve_many([todo[key] for key in keys], bounds)):
             if prof is not None:
                 self._profiles[key] = prof
 

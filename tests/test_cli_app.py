@@ -472,3 +472,28 @@ def test_planner_is_quiet_where_gaps_overflow(tmp_path, agents, hi, command):
     assert result.returncode == 0
     assert result.stderr == ""
     assert parse_table(result.stdout)[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "schedule"])
+def test_planner_is_quiet_where_bracket_midpoints_overflow(tmp_path, command):
+    # The top multiplier brackets lie above 9e307, where a + b overflows
+    # before the midpoint halves it; the midpoint is inf either way.
+    doc = {"agents": [{"family": "scaled_exponential", "b": 1.0}],
+           "scope_bounds": {"lo": 0.1, "hi": 709.5}}
+    result = run_cli(command, write_scenario(tmp_path, doc), "--mode", "sp")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert parse_table(result.stdout)[0]
+
+
+def test_schedule_prints_greedy_trace_only_for_greedy_chains(tmp_path):
+    # Multipliers that fall with the index are not well-ordered, so the chain
+    # comes from the DP, which has no pick trace to print.
+    doc = base_doc(betas=(2.0, 1.0))
+    result = run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp")
+    assert result.returncode == 0
+    rows, comments = parse_table(result.stdout)
+    assert rows[0] == ["wave", "members", "drawdown", "welfare"]
+    assert not any(c.startswith("# greedy_trace") for c in comments)
+    greedy = run_cli("schedule", str(SCENARIOS / "three_agents.json"), "--mode", "sp")
+    assert "# greedy_trace: {1,2,3}" in greedy.stdout

@@ -194,3 +194,24 @@ def test_cascade_solves_each_alliance_once(monkeypatch):
         schedule = equilibrium_exit_schedule(range(len(betas)), exp_team(betas), WIDE)
         assert len(solved) == len(set(solved))
         assert set(solved) >= {wave.alliance for wave in schedule.waves}
+
+
+def test_cascade_computes_each_alliances_drawdowns_once(monkeypatch):
+    # A remainder that pulls no one in is the next alliance: its profile and
+    # drawdowns carry over to the next wave instead of being computed again.
+    import teamsearch.equilibrium as equilibrium_module
+
+    computed = []
+    real = equilibrium_module.equilibrium_drawdowns
+
+    def counting(alliance, profile, costs):
+        computed.append(tuple(alliance))
+        return real(alliance, profile, costs)
+
+    monkeypatch.setattr(equilibrium_module, "equilibrium_drawdowns", counting)
+    for betas in ([1.0, 1.2, 8.0], [1.0, 1.2, 2.0], [1.0, 1.5, 3.0, 9.0]):
+        computed.clear()
+        schedule = equilibrium_exit_schedule(range(len(betas)), exp_team(betas), WIDE)
+        assert len(computed) == len(set(computed))
+        assert set(computed) >= {wave.alliance for wave in schedule.waves}
+    assert len(computed) == 4  # the four-agent team: one call per alliance it solves

@@ -837,3 +837,30 @@ def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatc
         assert after == before
     assert len(cells) == 43 and len(orders) > 100
     assert all(isinstance(order, slice) for order in orders)
+
+
+def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
+    # The same scan row listed cell by cell: prefetch orders the problems
+    # largest alliance first itself, so its passes still read every member
+    # position's terms through slices, and each profile is a single solve's.
+    b3 = 12.0
+    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
+              ScaledExponential(b=1.0, beta=b3)]
+             for b2 in np.arange(1, 97) * 0.25 if b3 > b2 > 1.0]
+    cell_major = [(a, c) for c in cells for a in ((0, 1, 2), (1, 2), (2,))]
+    orders = []
+    real_by_term = scopes_module._by_term
+
+    def recording(slots, rows):
+        for order, cnt, terms in real_by_term(slots, rows):
+            orders.append(order)
+            yield order, cnt, terms
+
+    cache = ProfileCache(planner_scopes)
+    monkeypatch.setattr(scopes_module, "_by_term", recording)
+    cache.prefetch(cell_major, WIDE, planner_profiles)
+    monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
+    assert len(cache._profiles) == 2 * len(cells) + 1  # the cells share (2,)
+    assert len(orders) > 50 and all(isinstance(order, slice) for order in orders)
+    for alliance, costs in cell_major:
+        assert cache.profile(alliance, costs, WIDE) == planner_scopes(alliance, costs, WIDE)
