@@ -46,7 +46,7 @@ from .scopes import (
     reply_pattern,
 )
 from .simulate import SimConfig, SimOutcome, simulate_schedule
-from .welfare import chain_welfare
+from .welfare import chain_exits, chain_welfare
 
 FMT = "%.10g"
 
@@ -136,6 +136,9 @@ class ScanSpec:
                 f"steps={self.steps} gives {self.steps**2} cells, over the budget of "
                 f"{MAX_SCAN_CELLS}"
             )
+        for lo, hi in (self.beta2_range, self.beta3_range):
+            if not math.isfinite(self.steps * (hi - lo)):  # a grid value's numerator
+                raise ValueError(f"steps * (hi - lo) overflows for the beta range [{lo}, {hi}]")
 
 
 # Optional scenario sections, by key.
@@ -211,11 +214,6 @@ def _partition_label(waves: Sequence[Sequence[int]]) -> str:
     return "".join(_wave_label(w) for w in waves)
 
 
-def _chain_waves(alliances: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    sets = [tuple(a) for a in alliances] + [()]
-    return [tuple(sorted(set(a) - set(b))) for a, b in zip(sets, sets[1:])]
-
-
 def _write(text: str, path: str | None) -> None:
     if not path:
         sys.stdout.write(text)
@@ -287,10 +285,9 @@ def _schedule_for_mode(config: ScenarioConfig, mode: str):
 
 def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
     plan, report = _schedule_for_mode(config, args.mode)
-    phase_list = list(plan.phases())
-    waves = _chain_waves([alliance for alliance, _, _ in phase_list])
+    alliances, _, drawdowns = zip(*plan.phases())
     rows = [["wave", "members", "drawdown", "welfare"]]
-    for k, ((_, _, drawdown), exiting) in enumerate(zip(phase_list, waves), start=1):
+    for k, (drawdown, exiting) in enumerate(zip(drawdowns, chain_exits(alliances)), start=1):
         welfare = sum(report.per_agent[i] for i in exiting)
         rows.append([str(k), _wave_label(exiting), _fmt(drawdown), _fmt(welfare)])
     comments = [f"# mode: {args.mode}", f"# total_welfare: {_fmt(report.total)}"]
@@ -304,23 +301,14 @@ def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
 
 
 def _dump_samples(outcome: SimOutcome, path: str) -> None:
-    n_waves = outcome.wave_tau.shape[0]
-    header = ["path"]
-    header += [f"tau_{k + 1}" for k in range(n_waves)]
-    header += [f"M_{k + 1}" for k in range(n_waves)]
-    header += [f"payoff_{a + 1}" for a in outcome.agents]
-    rows = [header]
-    for p in range(outcome.n_paths):
-        row = [str(p)]
-        for k in range(n_waves):
-            t = outcome.wave_tau[k, p]
-            row.append("" if math.isnan(t) else _fmt(t))
-        for k in range(n_waves):
-            m = outcome.wave_M[k, p]
-            row.append("" if math.isnan(m) else _fmt(m))
-        row += [_fmt(outcome.payoffs[r, p]) for r in range(len(outcome.agents))]
-        rows.append(row)
-    _emit(rows, [], path)
+    waves = range(1, outcome.wave_tau.shape[0] + 1)
+    header = ["path", *(f"tau_{k}" for k in waves), *(f"M_{k}" for k in waves),
+              *(f"payoff_{a + 1}" for a in outcome.agents)]
+    columns = [map(str, range(outcome.n_paths))]
+    columns += [["" if math.isnan(v) else _fmt(v) for v in row.tolist()]
+                for row in (*outcome.wave_tau, *outcome.wave_M)]  # NaN: the wave never fired
+    columns += [map(_fmt, row.tolist()) for row in outcome.payoffs]
+    _emit([header, *zip(*columns)], [], path)
 
 
 def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
@@ -329,6 +317,8 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         sim = replace(sim, seed=args.seed)
     if args.strict:
         sim = replace(sim, strict=True)
+    if sim.n_paths < 2:
+        raise ValidationError("simulate needs n_paths >= 2 for its standard errors")
     costs = list(config.agents)
 
     # Each mode gives the analytic payoffs, the outcome and one more check
@@ -342,7 +332,7 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         policy = penalty_policy(pconfig)
         analytic = expected_penalty_payoffs(pconfig, policy)
         outcome = simulate_penalty(pconfig, sim)
-        freq = float((outcome.collapse_wave < 0).mean())
+        freq = float((outcome.wave_M[0] < policy.threshold).mean())
         freq_se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / outcome.n_paths)
         extra = ("continuation_frequency", policy.continuation_probability, freq, freq_se)
     else:
@@ -414,7 +404,7 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
             schedule = equilibrium_exit_schedule(range(3), cells[b2], bounds, eq_cache)
             eq_label = _partition_label([w.exiting for w in schedule.waves])
             chain = optimal_chain(cells[b2], bounds, sp_cache)
-            sp_label = _partition_label(_chain_waves(chain.alliances))
+            sp_label = _partition_label(chain_exits(chain.alliances))
             rows.append([_fmt(b2), _fmt(b3), eq_label, sp_label])
     _emit(rows, [], args.out)
     if args.svg:

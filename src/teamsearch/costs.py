@@ -203,8 +203,7 @@ class ScaledExponential(CostFamily):
     def proportional_key(self) -> tuple:
         return ("exp", self.b)
 
-    def reply_key(self) -> tuple:
-        return ("exp", self.b)  # the ratio is 2/b whatever beta
+    reply_key = proportional_key  # the ratio is 2/b whatever beta
 
     def cost_multiplier(self) -> float:
         # cost = (family base) / multiplier; larger multiplier = cheaper agent.
@@ -254,8 +253,7 @@ class ScaledPower(CostFamily):
     def proportional_key(self) -> tuple:
         return ("pow", self.p)
 
-    def reply_key(self) -> tuple:
-        return ("pow", self.p)  # the ratio is 2*sigma/p whatever a and beta
+    reply_key = proportional_key  # the ratio is 2*sigma/p whatever a and beta
 
     def cost_multiplier(self) -> float:
         return self.beta / self.a

@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostSpec, ScopeBounds
+from .equilibrium import equilibrium_drawdowns
 from .errors import ValidationError
 from .scopes import ScopeProfile, equilibrium_scopes
 from .simulate import SimConfig, SimOutcome, simulate_phases
-from .welfare import Phase
+from .welfare import Phase, phase_stats
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,13 @@ class PenaltyPolicy:
     trigger: float  # first-exit drawdown, alpha-invariant
     solo_profile: ScopeProfile
     continuation_drawdown: float  # solo stop gap, already scaled by alpha
-    threshold: float  # continue alone iff M at first exit < threshold
+    threshold: float  # continue alone iff M at first exit < threshold (0.0: never)
     continues: bool  # whether a continuation regime exists at all
     phases: tuple[Phase, ...]  # the team phase, then the solo phase if the follower continues
 
     @property
     def continuation_probability(self) -> float:
-        """P(follower outlasts the leader) = P(M_tau < threshold)."""
-        if not self.continues:
-            return 0.0
+        """P(follower outlasts the leader) = P(M_tau < threshold), M_tau ~ Exp(trigger)."""
         return 1.0 - math.exp(-self.threshold / self.trigger)
 
 
@@ -76,8 +75,8 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
     team_profile = equilibrium_scopes((0, 1), costs, config.bounds)
     total = team_profile.total
     rates = {i: costs[i].cost(team_profile.per_agent[i]) for i in (0, 1)}
-    drawdowns = [total * total / (2.0 * rates[i]) for i in (0, 1)]
-    leader = 0 if drawdowns[0] <= drawdowns[1] else 1
+    drawdowns = equilibrium_drawdowns((0, 1), team_profile, costs).per_agent
+    leader = min((0, 1), key=drawdowns.__getitem__)  # agent 0 on a tie
     follower = 1 - leader
     trigger = drawdowns[leader]
 
@@ -119,7 +118,7 @@ def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None
         policy = penalty_policy(config)
     team = policy.phases[0]
     d = team.trigger
-    team_duration = d * d / (team.scope * team.scope)
+    team_duration = phase_stats(0.0, d, team.scope)[1]
 
     leader_value = d - team.rates[policy.leader] * team_duration
 

@@ -539,16 +539,14 @@ class ProfileCache:
                 self._profiles[key] = prof
 
 
-def interior_capacity(
-    cost: CostSpec, bounds: ScopeBounds, max_team_size: int = 256
-) -> int:
-    """Largest team of identical-cost agents whose equilibrium stays interior.
+def interior_capacity(cost: CostSpec, bounds: ScopeBounds) -> int:
+    """Largest team, of up to 256 identical-cost agents, whose equilibrium stays interior.
 
-    Scans every size up to ``max_team_size`` because interiority need not be
-    monotone in team size (the per-agent scope can leave through either bound).
+    Scans every size up to 256 because interiority need not be monotone in
+    team size (the per-agent scope can leave through either bound).
     """
     best = 0
-    for n in range(1, max_team_size + 1):
+    for n in range(1, 257):
         try:
             profile = equilibrium_scopes(range(n), [cost] * n, bounds)
         except SolverError:

@@ -43,7 +43,7 @@ import numpy as np
 from .costs import CostSpec
 from .errors import SimulationError, ValidationError
 from .scopes import Alliance
-from .welfare import Phase, plan_phases
+from .welfare import Phase, phase_stats, plan_phases
 
 CHUNK = 128
 # Live paths are stepped through a chunk in row tiles of at most this many
@@ -53,6 +53,7 @@ CENSOR_WARN_FRACTION = 0.01
 # Largest horizon, in steps, a run may have; checked before any path is drawn.
 # The shipped scenarios, tests and benchmark stay below 10**6 steps.
 MAX_STEPS = 10**8
+KS_SIGNIFICANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,10 @@ class SimOutcome:
 
 
 def _expected_duration(phases: Sequence[Phase]) -> float:
-    total, prev = 0.0, 0.0
-    for p in phases:
-        total += (p.trigger * p.trigger - prev * prev) / (p.scope * p.scope)
-        prev = p.trigger
+    total, start = 0.0, 0.0
+    for p in phases:  # not sum(), which compensates from Python 3.12 and so moves bits
+        total += phase_stats(start, p.trigger, p.scope)[1]
+        start = p.trigger
     return total
 
 
@@ -314,9 +315,8 @@ def stopped_max_distribution_test(
     scope: float,
     config: SimConfig,
     null_mean: float | None = None,
-    significance: float = 0.01,
 ) -> KSReport:
-    """KS test of simulated M at the stop against the exponential null law.
+    """KS test at level KS_SIGNIFICANCE of simulated M at the stop against the Exp null law.
 
     The maximum of a driftless path stopped at drawdown d is Exp(mean d);
     passing ``null_mean`` overrides the null (e.g. to check the test's power).
@@ -334,6 +334,6 @@ def stopped_max_distribution_test(
         pvalue=float(result.pvalue),
         n_samples=int(samples.size),
         null_mean=mean,
-        significance=significance,
-        passed=bool(result.pvalue > significance),
+        significance=KS_SIGNIFICANCE,
+        passed=bool(result.pvalue > KS_SIGNIFICANCE),
     )

@@ -4,7 +4,7 @@ A plan runs in phases: alliance A_k searches at total scope S_k until the
 drawdown M - X first reaches d_k, and the agents in A_k but not A_{k+1} exit
 then.  ``plan_phases`` checks a plan once and gives its ``Phase`` list, with
 each member's flow-cost rate; ``chain_welfare`` and the path engine in
-``simulate`` both read that list.
+``simulate`` both read that list.  ``chain_exits`` gives who exits after each.
 
 Evaluation decomposes the run into phases between consecutive stop drawdowns.
 For a driftless path with total scope S stopped when the gap M - X first
@@ -61,6 +61,12 @@ def plan_phases(plan, costs: Sequence[CostSpec]) -> list[Phase]:
     return phases
 
 
+def chain_exits(alliances: Sequence[Sequence[int]]) -> list[Alliance]:
+    """Who exits after each phase: each alliance's members not in the next one, sorted."""
+    sets = [tuple(a) for a in alliances] + [()]
+    return [tuple(sorted(set(a) - set(b))) for a, b in zip(sets, sets[1:])]
+
+
 @dataclass(frozen=True)
 class PhaseStat:
     alliance: Alliance
@@ -98,15 +104,13 @@ def chain_welfare(plan, costs: Sequence[CostSpec]) -> WelfareReport:
     accrued: dict[int, float] = {}
     stats: list[PhaseStat] = []
     prev_gap = 0.0
-    for k, phase in enumerate(phases):
+    for phase, exiting in zip(phases, chain_exits([p.alliance for p in phases])):
         gain, duration = phase_stats(prev_gap, phase.trigger, phase.scope)
         phase_cost = {i: rate * duration for i, rate in phase.rates.items()}
         for i, value in phase_cost.items():
             accrued[i] = accrued.get(i, 0.0) + value
         stats.append(PhaseStat(phase.alliance, gain, duration, phase_cost))
-
-        staying = set(phases[k + 1].alliance) if k + 1 < len(phases) else set()
-        for i in sorted(set(phase.alliance) - staying):
+        for i in exiting:
             per_agent[i] = phase.trigger - accrued[i]
         prev_gap = phase.trigger
 

@@ -497,3 +497,37 @@ def test_schedule_prints_greedy_trace_only_for_greedy_chains(tmp_path):
     assert not any(c.startswith("# greedy_trace") for c in comments)
     greedy = run_cli("schedule", str(SCENARIOS / "three_agents.json"), "--mode", "sp")
     assert "# greedy_trace: {1,2,3}" in greedy.stdout
+
+
+def test_simulate_refuses_fewer_than_two_paths(tmp_path):
+    path = write_scenario(tmp_path, quick_sim_doc(base_doc(betas=(1.0,)), n_paths=1))
+    assert run_cli("validate", path).returncode == 0  # SimConfig itself accepts one path
+    for argv in (["--mode", "eq"], ["--mode", "sp", "--seed", "3"]):
+        result = run_cli("simulate", path, *argv)
+        assert_one_line_error(result)
+        assert "n_paths >= 2" in result.stderr
+
+
+def test_scan_range_whose_grid_overflows_exits_two(tmp_path):
+    doc = dict(base_doc(betas=(1.0, 1.0, 1.0)),
+               scan={"steps": 3, "beta2_range": [0, 1e300], "beta3_range": [0, 1e308]})
+    path = write_scenario(tmp_path, doc)
+    for command in ("validate", "scan"):
+        result = run_cli(command, path)
+        assert_one_line_error(result)
+        assert "overflows" in result.stderr and "1e+308" in result.stderr
+    doc["scan"]["beta3_range"] = [0, 5e307]  # 3 * 5e307 is still finite
+    assert run_cli("validate", write_scenario(tmp_path, doc)).returncode == 0
+
+
+def test_penalty_without_continuation_regime_passes_frequency_row(tmp_path):
+    # Continuation needs alpha > e/20 (about 0.136) for this pair.
+    doc = json.loads((SCENARIOS / "penalty.json").read_text())
+    doc["penalty"]["alpha"] = 0.1
+    doc["sim"]["n_paths"] = 500
+    result = run_cli("simulate", write_scenario(tmp_path, doc), "--mode", "penalty")
+    assert result.returncode == 0, result.stderr
+    rows, _ = parse_table(result.stdout)
+    freq = {r[0]: r for r in rows[1:]}["continuation_frequency"]
+    assert freq[1:3] == ["0", "0"] and freq[5] == "PASS"
+    assert all(r[5] == "PASS" for r in rows[1:])

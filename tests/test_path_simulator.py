@@ -459,3 +459,22 @@ def test_schedule_and_chain_share_random_numbers():
     for row in diffs:
         assert abs(row.mean() - analytic_gap / 2.0) <= 3.0 * row.std(ddof=1) / math.sqrt(n)
     assert total.mean() > 0.0
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_expected_duration_sums_phase_stats(case):
+    from teamsearch.welfare import phase_stats
+
+    phases, _ = REFERENCE_CASES[case]
+    total, start = 0.0, 0.0
+    for p in phases:
+        total += phase_stats(start, p.trigger, p.scope)[1]
+        start = p.trigger
+    assert _expected_duration(phases) == total  # bit for bit
+
+
+def test_expected_duration_refuses_triggers_that_do_not_increase():
+    with pytest.raises(ValidationError, match="strictly below stop gap"):
+        _expected_duration(nested_phases([0.5, 0.5], [1.0, 1.0]))
+    with pytest.raises(ValidationError, match="strictly below stop gap"):
+        _expected_duration(nested_phases([0.5, 0.3], [1.0, 1.0]))

@@ -193,3 +193,11 @@ def test_expected_payoffs_read_rates_from_the_phases(alpha):
     values = expected_penalty_payoffs(config, policy)
     assert calls[0] == 0
     assert values == expected_penalty_payoffs(PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, math.e / 20.0 - 1e-3])
+def test_continuation_probability_is_exactly_zero_without_continuation(alpha):
+    policy = penalty_policy(PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE))
+    assert not policy.continues and policy.threshold == 0.0
+    p = policy.continuation_probability
+    assert p == 0.0 and math.copysign(1.0, p) == 1.0  # +0.0, as 1 - exp(-0 / d) gives

@@ -187,3 +187,18 @@ def test_welfare_and_simulation_check_a_plan_alike():
             chain_welfare(FakePlan(items), costs)
         with pytest.raises(ValidationError, match=message):
             simulate_schedule(FakePlan(items), costs, SimConfig(n_paths=1))
+
+
+@pytest.mark.parametrize(
+    "alliances, exits",
+    [
+        (((0, 1, 2), (1, 2), (2,)), [(0,), (1,), (2,)]),
+        (((2, 0, 1),), [(0, 1, 2)]),
+        (((0, 1, 2, 3), (3, 0), (0,)), [(1, 2), (3,), (0,)]),
+    ],
+    ids=["three_phases", "one_phase", "non_suffix"],
+)
+def test_chain_exits_lists_who_leaves_after_each_phase(alliances, exits):
+    from teamsearch.welfare import chain_exits
+
+    assert chain_exits(alliances) == exits
