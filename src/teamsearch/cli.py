@@ -29,14 +29,8 @@ import numpy as np
 
 from .costs import FAMILIES, CostSpec, ScaledExponential, ScopeBounds, validate_cost
 from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
-from .errors import TeamSearchError, ValidationError
-from .penalty import (
-    PenaltyConfig,
-    PenaltySpec,
-    expected_penalty_payoffs,
-    penalty_policy,
-    simulate_penalty,
-)
+from .errors import SimulationError, TeamSearchError, ValidationError
+from .penalty import PenaltyConfig, PenaltySpec, expected_penalty_payoffs, penalty_policy
 from .planner import optimal_chain, planner_drawdown
 from .scopes import (
     ProfileCache,
@@ -45,7 +39,7 @@ from .scopes import (
     planner_scopes,
     reply_pattern,
 )
-from .simulate import SimConfig, SimOutcome, simulate_schedule
+from .simulate import SimConfig, SimOutcome, simulate_phases, simulate_schedule
 from .welfare import chain_exits, chain_welfare
 
 FMT = "%.10g"
@@ -331,9 +325,13 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
         )
         policy = penalty_policy(pconfig)
         analytic = expected_penalty_payoffs(pconfig, policy)
-        outcome = simulate_penalty(pconfig, sim)
-        freq = float((outcome.wave_M[0] < policy.threshold).mean())
-        freq_se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / outcome.n_paths)
+        outcome = simulate_phases(policy.phases, (0, 1), sim)
+        # A path censored before the first exit has no first-exit maximum.
+        first = outcome.wave_M[0][~np.isnan(outcome.wave_M[0])]
+        if not first.size:
+            raise SimulationError("no path reached the first exit; no continuation to count")
+        freq = float((first < policy.threshold).mean())
+        freq_se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / first.size)
         extra = ("continuation_frequency", policy.continuation_probability, freq, freq_se)
     else:
         plan, report = _schedule_for_mode(config, args.mode)

@@ -325,12 +325,13 @@ class SpecStack:
     whose ``stack_scalars`` are the specs' shared values.  Its methods take a
     (len(rows), m) array, and each element goes through the same operations
     as a call of its own spec would.  The stacked spec skips the parameter
-    checks (every spec has passed them) and cannot be hashed; its errors name
-    the stack, not a spec.
+    checks (every spec has passed them) and cannot be hashed.  A stack of one
+    spec is that spec.
     """
 
     def __init__(self, specs: Sequence[CostFamily]):
         first = specs[0]
+        self.only = first if len(specs) == 1 else None
         self.family = type(first)
         self.scalars = {name: getattr(first, name) for name in first.stack_scalars}
         self.names = [f.name for f in fields(first) if f.name not in self.scalars]
@@ -338,6 +339,8 @@ class SpecStack:
                         for name in self.names]
 
     def take(self, rows: np.ndarray) -> CostFamily:
+        if self.only is not None:
+            return self.only
         spec = object.__new__(self.family)
         for name, column in zip(self.names, self.columns):
             object.__setattr__(spec, name, column[rows, None])

@@ -8,15 +8,15 @@ parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.
 
 Problems are solved in batched passes of (problems x grid) arrays.  Each
-round evaluates the terms at one member position of all rows by stack key:
-one call per cost family (and power exponent), on a spec stacked over the
-rows.  A single solve is a pass of one problem.  Each row does the
-arithmetic of a solve alone, so a profile does not depend on its batch.
-A position whose terms are one run of rows of one stack (prefetch lists
-problems largest alliance first) is read and summed through a row slice,
-not an index array.  The planner gap takes one error state per call and
-checks its costs once, through their sum; k-section compares signs by
-``np.sign``, so gaps too large to multiply raise no warning.
+round evaluates the rows' terms by member position and stack key: one call
+per cost family (and power exponent) at a position, on a spec stacked over
+that group's rows, where a stack of one spec is that spec.  A single solve
+is a pass of one problem.  Each row does the arithmetic of a solve alone,
+so a profile does not depend on its batch.  A group whose rows are one run
+(prefetch lists problems largest alliance first) is read and summed through
+a row slice, not an index array.  The planner gap takes one error state per
+call and checks its costs once, through their sum; k-section compares signs
+by ``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
 ``ProfileCache(equilibrium_scopes, reply_pattern)`` shares one profile among
@@ -155,22 +155,17 @@ class _Position:
     count: np.ndarray  # each row's count of agents with that spec
 
 
-def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list:
-    """Per term position of the rows' (spec, count) terms: that term when every
-    row has the one same term there, else a ``_Position``."""
+def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list[_Position]:
+    """A ``_Position`` of the rows' (spec, count) terms per term position."""
     slots = []
     for k in range(max(map(len, terms))):
-        here = [t[k] if k < len(t) else None for t in terms]
-        if all(t == here[0] for t in here[1:]):
-            slots.append(here[0])
-            continue
         stacks: dict[tuple, dict[CostSpec, int]] = {}
         placed = []  # per row: (stack index, spec index in it, count)
-        for term in here:
-            if term is None:
+        for t in terms:
+            if k >= len(t):
                 placed.append((-1, 0, 0))
                 continue
-            spec, cnt = term
+            spec, cnt = t[k]
             key = spec.stack_key()
             specs = stacks.setdefault(key, {})
             placed.append((list(stacks).index(key), specs.setdefault(spec, len(specs)), cnt))
@@ -179,68 +174,45 @@ def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list:
     return slots
 
 
-def _by_term(slots: list, rows: np.ndarray):
-    """Per term position: the ``rows`` entries with a term there, ordered so each
-    stack's entries are contiguous, their counts, and (spec, slice of that
-    order) per present stack, the spec stacked over the slice's entries.
+def _by_term(slots: list[_Position], rows: np.ndarray):
+    """Per term position and stack present there: the ``rows`` entries with a
+    term of that stack, their counts, and the spec stacked over them.
 
-    The order is a slice when the entries are one run of one stack (always
-    so when the pass's specs share one stack key and its problems are listed
-    by alliance size), else an index array.
+    The entries are a slice when they are one run (always so when the pass's
+    specs share one stack key and its problems are listed by alliance size),
+    else an index array.
     """
     for slot in slots:
-        if not isinstance(slot, _Position):
-            spec, cnt = slot
-            yield slice(None), cnt, [(spec, slice(None))]
-            continue
         at = slot.stack[rows]
-        order = np.argsort(at, kind="stable")
-        cuts = np.searchsorted(at[order], np.arange(len(slot.stacks) + 1)).tolist()
-        order = order[cuts[0]:]
-        picked = rows[order]
-        index = slot.index[picked]
-        parts = [slice(lo - cuts[0], hi - cuts[0]) for lo, hi in zip(cuts, cuts[1:])]
-        terms = [(stack.take(index[part]), part)
-                 for stack, part in zip(slot.stacks, parts) if part.stop > part.start]
-        if not terms:  # no entry has a term here
-            continue
-        # One stack's entries keep their ascending order.
-        first, last = order[[0, -1]].tolist()
-        if len(terms) == 1 and last - first + 1 == len(order):
-            order = slice(first, last + 1)
-        yield order, slot.count[picked, None], terms
+        for s, stack in enumerate(slot.stacks):
+            sel = np.flatnonzero(at == s)
+            if not sel.size:
+                continue
+            picked = rows[sel]
+            first, last = sel[[0, -1]].tolist()
+            order = slice(first, last + 1) if last - first + 1 == len(sel) else sel
+            yield order, slot.count[picked, None], stack.take(slot.index[picked])
 
 
-def _row_sums(slots: list, x: np.ndarray, at: np.ndarray, term) -> list[np.ndarray]:
+def _row_sums(slots: list[_Position], x: np.ndarray, at: np.ndarray, term) -> list[np.ndarray]:
     """Per output of ``term(spec, xs, cnt)``, each row's sum over its terms.
 
     Row j of ``x`` belongs to pass row ``at[j]``; ``term`` gets the rows of
-    ``x`` that have a term at one position, the spec stacked over them and
-    their counts, and returns fresh arrays shaped like ``xs``.  The sums run
-    position by position, so each row adds its terms in its own order; they
-    start from position 0's terms, which every row has (0 + t is t).
+    ``x`` that have a term of one stack at one position, the spec stacked
+    over them and their counts, and returns fresh arrays shaped like ``xs``.
+    The sums run position by position, so each row adds its terms in its own
+    order.  They start from the first group's values when it covers every
+    row, else from zeros (0 + t is t: no term is -0.0).
     """
     sums: list[np.ndarray] = []
-    for order, cnt, terms in _by_term(slots, at):
-        xs = x[order]
-        if len(terms) == 1:
-            vals = term(terms[0][0], xs, cnt)
-        else:
-            vals = []
-            for spec, part in terms:
-                got = term(spec, xs[part], cnt[part])
-                vals = vals or [np.empty_like(xs) for _ in got]
-                for into, value in zip(vals, got):
-                    into[part] = value
-        if not sums and isinstance(order, slice):
+    for order, cnt, spec in _by_term(slots, at):
+        vals = term(spec, x[order], cnt)
+        if not sums and len(vals[0]) == len(x):
             sums = list(vals)
-        elif not sums:
-            sums = [np.empty_like(x) for _ in vals]
-            for into, value in zip(sums, vals):
-                into[order] = value
-        else:
-            for into, value in zip(sums, vals):
-                into[order] += value
+            continue
+        sums = sums or [np.zeros_like(x) for _ in vals]
+        for into, value in zip(sums, vals):
+            into[order] += value
     return sums
 
 

@@ -531,3 +531,32 @@ def test_penalty_without_continuation_regime_passes_frequency_row(tmp_path):
     freq = {r[0]: r for r in rows[1:]}["continuation_frequency"]
     assert freq[1:3] == ["0", "0"] and freq[5] == "PASS"
     assert all(r[5] == "PASS" for r in rows[1:])
+
+
+def test_penalty_frequency_is_a_share_of_paths_whose_first_exit_fired(tmp_path):
+    # A path censored before the first exit has no first-exit maximum, so the
+    # share and its standard error are taken over the paths that fired.
+    import numpy as np
+
+    from teamsearch import PenaltyConfig, ScaledExponential, ScopeBounds, SimConfig, penalty_policy
+    from teamsearch.simulate import simulate_phases
+
+    doc = json.loads((SCENARIOS / "penalty.json").read_text())
+    doc["sim"].update(n_paths=400, t_max=0.3)
+    result = run_cli("simulate", write_scenario(tmp_path, doc), "--mode", "penalty")
+    assert result.returncode == 0, result.stderr
+    rows, _ = parse_table(result.stdout)
+    row = {r[0]: r for r in rows[1:]}["continuation_frequency"]
+
+    costs = (ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=20.0))
+    policy = penalty_policy(PenaltyConfig(alpha=0.5, costs=costs, bounds=ScopeBounds(0.1, 10.0)))
+    outcome = simulate_phases(policy.phases, (0, 1), SimConfig(**doc["sim"]))
+    first = outcome.wave_M[0][~np.isnan(outcome.wave_M[0])]
+    assert 0 < first.size < outcome.n_paths  # some paths stopped before the first exit
+    share = float((first < policy.threshold).mean())
+    assert row[2:4] == ["%.10g" % share, "%.10g" % math.sqrt(share * (1 - share) / first.size)]
+
+    doc["sim"].update(n_paths=50, t_max=0.002)  # no path reaches the first exit
+    result = run_cli("simulate", write_scenario(tmp_path, doc), "--mode", "penalty")
+    assert result.returncode == 1 and result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1 and "first exit" in result.stderr

@@ -864,3 +864,48 @@ def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
     assert len(orders) > 50 and all(isinstance(order, slice) for order in orders)
     for alliance, costs in cell_major:
         assert cache.profile(alliance, costs, WIDE) == planner_scopes(alliance, costs, WIDE)
+
+
+def test_mixed_pass_groups_terms_by_position_and_stack():
+    # Four rows whose positions mix two families, with row 2 lacking a term at
+    # position 1 and the exponential terms at position 0 not one run.
+    e1, e2, e3 = (ScaledExponential(b=1.0, beta=beta) for beta in (1.0, 3.0, 7.0))
+    p1, p2, p3 = (ScaledPower(a=a, p=3.0) for a in (0.5, 1.5, 2.5))
+    terms = [[(e1, 1), (p1, 1)], [(p2, 1), (e2, 1)], [(e3, 2)], [(e1, 1), (p3, 1)]]
+    slots = scopes_module._slots(terms)
+    x_all = np.linspace(0.2, 3.0, 30).reshape(6, 5)
+    for rows in (np.arange(4), np.array([0, 2, 2, 3, 3, 1])):
+        x = x_all[:len(rows)]
+        groups = list(scopes_module._by_term(slots, rows))
+        # One group per (position, family) present, families in pass order.
+        want = []
+        for k in range(2):
+            for family in dict.fromkeys(type(t[k][0]) for t in terms if k < len(t)):
+                entries = [j for j, r in enumerate(rows)
+                           if k < len(terms[r]) and type(terms[r][k][0]) is family]
+                want += [(k, family, entries)] if entries else []
+        assert len(groups) == len(want)
+        for (order, cnt, spec), (k, family, entries) in zip(groups, want):
+            assert np.arange(len(rows))[order].tolist() == entries
+            contiguous = entries[-1] - entries[0] + 1 == len(entries)
+            assert isinstance(order, slice) == contiguous
+            own = [terms[rows[j]][k] for j in entries]
+            assert cnt.ravel().tolist() == [c for _, c in own]
+            assert type(spec) is family
+            got = spec.cost(x[order])
+            for i, (s, _) in enumerate(own):
+                assert got[i].tobytes() == s.cost(x[entries[i]]).tobytes()
+        assert not all(isinstance(order, slice) for order, _, _ in groups)
+        cost, scope = scopes_module._row_sums(
+            slots, x, rows, lambda spec, xs, cnt: [spec.cost(xs) * cnt, spec.marginal(xs)])
+        for j, r in enumerate(rows):
+            c = m = None
+            for s, n in terms[r]:
+                c = s.cost(x[j]) * n if c is None else c + s.cost(x[j]) * n
+                m = s.marginal(x[j]) if m is None else m + s.marginal(x[j])
+            assert cost[j].tobytes() == c.tobytes() and scope[j].tobytes() == m.tobytes()
+
+
+def test_stack_of_one_spec_is_that_spec():
+    spec = ScaledPower(a=1.0, p=3.0, beta=2.0)
+    assert scopes_module.SpecStack([spec]).take(np.array([0, 0, 0])) is spec
