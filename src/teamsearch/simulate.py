@@ -16,11 +16,23 @@ step boundaries.
 RNG contract: path p draws from a counter-based Philox stream keyed by
 (seed, p), in chunks of CHUNK steps, consuming one normal (plus two uniforms
 in bridge mode) per step.  Results are bit-identical for a given config
-regardless of execution order or thread count.  A horizon (``t_max``, by
-default 50 expected run lengths) of more than MAX_STEPS steps is refused
-before any path is drawn.
+regardless of execution order, thread count or worker count.  A horizon
+(``t_max``, by default 50 expected run lengths) of more than MAX_STEPS steps,
+or outcome arrays of more than MAX_OUTCOME_BYTES, are refused before any path
+is drawn.
 
-Stepping: the engine advances one RNG chunk at a time.  Live paths are split
+Blocks: the population is split into equal contiguous blocks of at most BLOCK
+paths, at least as many blocks as workers.  Each block builds only its own
+streams and state, steps its paths to the end, and returns its slice of the
+outcome, so memory no longer grows with the path count beyond the outcome
+arrays.  Runs of at least POOL_WORK expected path-steps step their blocks on a
+pool of forked workers, one per usable CPU and never more than the blocks;
+smaller runs, and hosts without ``fork``, step the same blocks in-process.
+Slices are written back in block order and censoring, durations and payoffs
+are assembled over all paths, so the outcome does not depend on the worker
+count.  The pool is joined before ``simulate_phases`` returns or raises.
+
+Stepping: a block advances one RNG chunk at a time.  Its live paths are split
 into row tiles of at most TILE paths; each tile is refilled from its paths'
 streams into a tile-sized buffer, so scratch memory is fixed per tile.  The
 whole chunk is then built as (paths x steps) arrays: positions by a
@@ -35,7 +47,9 @@ step-by-step loop, so results are byte-identical to one.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -49,10 +63,22 @@ CHUNK = 128
 # Live paths are stepped through a chunk in row tiles of at most this many
 # paths, which bounds each scratch array at TILE x (CHUNK + 1) values.
 TILE = 128
+# Paths are stepped in contiguous blocks of at most this many, each building
+# only its own streams (about 0.9 KB a path) and state.  Every block steps its
+# own tail of long paths, so large blocks are faster: on 2 cores a 20k-path run
+# took the same at 5,000 and 10,000 and about 20 % longer at 2,500.
+BLOCK = 10_000
+# Expected path-steps (paths x expected duration / dt) from which blocks run
+# on a pool of forked workers.  Starting and joining one costs 10-20 ms; on 2
+# cores it broke even at about 0.5-0.7 million path-steps.
+POOL_WORK = 1_000_000
 CENSOR_WARN_FRACTION = 0.01
 # Largest horizon, in steps, a run may have; checked before any path is drawn.
 # The shipped scenarios, tests and benchmark stay below 10**6 steps.
 MAX_STEPS = 10**8
+# Largest size of the outcome arrays a run may have, checked before any path is
+# drawn: 3.3 million paths of one agent and one wave.
+MAX_OUTCOME_BYTES = 2**28
 KS_SIGNIFICANCE = 0.01
 
 
@@ -148,27 +174,32 @@ def _expected_duration(phases: Sequence[Phase]) -> float:
     return total
 
 
-def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
-    """Simulate ``config.n_paths`` paths through ``phases``; payoffs are reported for ``agents``."""
-    n = config.n_paths
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _step_block(phases: Sequence[Phase], config: SimConfig, max_steps: int,
+                block: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Step paths lo..hi-1 of ``block = (lo, hi)``, building only their own streams.
+
+    Returns the block's slices of the running maximum, the phase reached,
+    each wave's firing step and maximum, and the collapse wave.
+    """
+    lo, hi = block
+    n = hi - lo
     n_waves = len(phases)
     dt = config.dt
     sqdt = math.sqrt(dt)
-    t_max = config.t_max if config.t_max is not None else 50.0 * _expected_duration(phases)
-    if not t_max / dt <= MAX_STEPS:
-        raise ValidationError(
-            f"horizon t_max={t_max:.6g} at dt={dt:.6g} exceeds the budget of {MAX_STEPS} steps"
-        )
-    max_steps = max(1, int(math.ceil(t_max / dt)))
     scope = np.array([p.scope for p in phases])
     trig = np.array([p.trigger for p in phases])
     thresh = np.array([p.threshold for p in phases])
-    scales = np.array([p.exit_scale for p in phases])
 
     seed = int(config.seed)
     gens = [
         np.random.Generator(np.random.Philox(key=np.array([seed, p], dtype=np.uint64)))
-        for p in range(n)
+        for p in range(lo, hi)
     ]
 
     X = np.zeros(n)
@@ -246,6 +277,60 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
                 go = hit & (phase[rows] < n_waves) & (first + 1 < width)
                 rows, loc, start = rows[go], loc[go], first[go] + 1
         alive = alive[phase[alive] < n_waves]
+    return Mx, phase, wave_step, wave_M, collapse_wave
+
+
+def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
+    """Simulate ``config.n_paths`` paths through ``phases``; payoffs are reported for ``agents``."""
+    n = config.n_paths
+    n_waves = len(phases)
+    dt = config.dt
+    expected = _expected_duration(phases)
+    t_max = config.t_max if config.t_max is not None else 50.0 * expected
+    if not t_max / dt <= MAX_STEPS:
+        raise ValidationError(
+            f"horizon t_max={t_max:.6g} at dt={dt:.6g} exceeds the budget of {MAX_STEPS} steps"
+        )
+    # 8-byte values per path: max, phase, collapse wave, censored; per wave
+    # step, max, tau, duration; per agent flow cost, payoff.
+    outcome_bytes = 8 * n * (4 + 4 * n_waves + 2 * len(agents))
+    if outcome_bytes > MAX_OUTCOME_BYTES:
+        raise ValidationError(
+            f"n_paths={n} needs {outcome_bytes / 2**20:.0f} MiB of outcome arrays, "
+            f"over the budget of {MAX_OUTCOME_BYTES // 2**20} MiB"
+        )
+    max_steps = max(1, int(math.ceil(t_max / dt)))
+    scales = np.array([p.exit_scale for p in phases])
+
+    work = n * min(expected, t_max) / dt  # expected path-steps
+    workers = _usable_cpus() if work >= POOL_WORK and hasattr(os, "fork") else 1
+    size = min(BLOCK, -(-n // workers))
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    workers = min(workers, len(blocks))
+
+    Mx = np.empty(n)
+    phase = np.empty(n, dtype=np.int64)
+    wave_step = np.empty((n_waves, n), dtype=np.int64)
+    wave_M = np.empty((n_waves, n))
+    collapse_wave = np.empty(n, dtype=np.int64)
+    step = partial(_step_block, phases, config, max_steps)
+    pool = None
+    if workers > 1:
+        import multiprocessing  # deferred: only a pooled run pays for the import
+
+        # fork, not spawn: a spawned worker would import numpy and the package
+        # again; the package starts no threads, and the stepper calls no BLAS.
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        parts = pool.imap(step, blocks) if pool else map(step, blocks)
+        # written back in block order, so the outcome is the same at every worker count
+        for (lo, hi), part in zip(blocks, parts):
+            for out, block_out in zip((Mx, phase, wave_step, wave_M, collapse_wave), part):
+                out[..., lo:hi] = block_out
+    finally:
+        if pool:
+            pool.terminate()
+            pool.join()
 
     censored = phase < n_waves
     warnings: list[str] = []

@@ -6,7 +6,14 @@ measured once at those seeds and all sit well inside the 3-SE gates.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+import multiprocessing
+import multiprocessing.context
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -478,3 +485,118 @@ def test_expected_duration_refuses_triggers_that_do_not_increase():
         _expected_duration(nested_phases([0.5, 0.5], [1.0, 1.0]))
     with pytest.raises(ValidationError, match="strictly below stop gap"):
         _expected_duration(nested_phases([0.5, 0.3], [1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# Path blocks and the worker pool
+
+
+@functools.cache
+def reference_outcome(case):
+    phases, config = REFERENCE_CASES[case]
+    return reference_simulate_phases(phases, phases[0].alliance, config)
+
+
+def pool_sizes(monkeypatch):
+    """Record the worker count of every pool ``simulate_phases`` starts."""
+    sizes = []
+    start = multiprocessing.context.BaseContext.Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return start(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy)
+    return sizes
+
+
+def blocks_of(n, workers):
+    size = min(simulate.BLOCK, -(-n // workers))
+    return -(-n // size)
+
+
+@pytest.mark.parametrize("block", [64, 1])  # 64 leaves a short last block in every case
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_blocked_engine_matches_step_loop_reference(monkeypatch, case, pooled, block):
+    phases, config = REFERENCE_CASES[case]
+    assert config.n_paths % 64
+    sizes = pool_sizes(monkeypatch)
+    monkeypatch.setattr(simulate, "BLOCK", block)
+    monkeypatch.setattr(simulate, "POOL_WORK", 0 if pooled else math.inf)
+    out = simulate_phases(phases, phases[0].alliance, config)
+    expected = reference_outcome(case)
+    assert out.equals(expected)
+    assert out.warnings == expected.warnings
+    assert multiprocessing.active_children() == []
+    cpus = simulate._usable_cpus()
+    workers = min(cpus, blocks_of(config.n_paths, cpus))
+    assert sizes == ([workers] if pooled and workers > 1 else [])
+
+
+def test_pooled_run_equals_serial_on_two_wave_schedule(monkeypatch):
+    # the two-wave team of the benchmark's mc workload, at 1,000 paths
+    costs = [ScaledExponential(b=1.0, beta=b) for b in (1.0, 1.2, 8.0)]
+    schedule = equilibrium_exit_schedule(range(3), costs, WIDE)
+    config = SimConfig(dt=2e-4, n_paths=1_000, seed=0, bridge_correction=True)
+    sizes = pool_sizes(monkeypatch)
+    monkeypatch.setattr(simulate, "POOL_WORK", math.inf)
+    serial = simulate_schedule(schedule, costs, config)
+    assert sizes == []
+    monkeypatch.setattr(simulate, "POOL_WORK", 0)
+    pooled = simulate_schedule(schedule, costs, config)
+    assert multiprocessing.active_children() == []
+    assert pooled.equals(serial)
+    assert pooled.warnings == serial.warnings
+    cpus = simulate._usable_cpus()
+    if cpus > 1:
+        assert sizes == [min(cpus, 2)]  # 1,000 paths make 2 blocks on 2 or more cores
+        assert sizes[0] <= os.cpu_count()
+
+
+def test_outcome_budget_rejected_before_run(tmp_path):
+    phases = [Phase(alliance=(0,), scope=1.0, trigger=1.0, rates={0: 0.0})]
+    n = simulate.MAX_OUTCOME_BYTES // 8  # past the budget however few arrays are counted
+    with pytest.raises(ValidationError, match="budget"):
+        simulate_phases(phases, (0,), SimConfig(dt=1e-3, n_paths=n))
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({
+        "agents": [{"family": "scaled_exponential", "b": 1.0}],
+        "scope_bounds": {"lo": 0.1, "hi": 10.0},
+        "sim": {"dt": 1e-3, "n_paths": n, "seed": 1},
+    }))
+    result = subprocess.run([sys.executable, "-m", "teamsearch", "simulate", str(scenario)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and "budget" in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, teamsearch, teamsearch.cli, teamsearch.simulate; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_single_agent_engine_matches_exact_moments():
+    # One agent at scope S stopped at drawdown d: M - X is a reflected
+    # Brownian motion (Levy), so the stopped maximum is Exp(d) (mean d, variance
+    # d^2), E[tau] = d^2 / S^2 and E[exp(-lam tau)] = 1 / cosh(d sqrt(2 lam) / S)
+    # (Taylor 1975; Lehoczky 1977).
+    d, S, lam = 1.0, 2.0, 2.0
+    phases = [Phase(alliance=(0,), scope=S, trigger=d, rates={0: 0.0})]
+    config = SimConfig(dt=1e-4, n_paths=10_000, seed=7, bridge_correction=True)
+    out = simulate_phases(phases, (0,), config)
+    assert out.censored_count == 0
+    m, tau = out.wave_M[0], out.wave_tau[0]
+    n = m.size
+
+    def z(samples, target):
+        return (samples.mean() - target) / (samples.std(ddof=1) / math.sqrt(n))
+
+    assert abs(z(m, d)) <= 3.0  # measured z = +0.39
+    assert abs(z((m - m.mean()) ** 2 * n / (n - 1), d * d)) <= 3.0  # z = -0.26
+    assert abs(z(tau, d * d / (S * S))) <= 3.0  # z = +0.19
+    assert abs(z(np.exp(-lam * tau), 1.0 / math.cosh(d * math.sqrt(2.0 * lam) / S))) <= 3.0  # z = -0.47
