@@ -30,18 +30,22 @@ pool of forked workers, one per usable CPU and never more than the blocks;
 smaller runs, and hosts without ``fork``, step the same blocks in-process.
 Slices are written back in block order and censoring, durations and payoffs
 are assembled over all paths, so the outcome does not depend on the worker
-count.  The pool is joined before ``simulate_phases`` returns or raises.
+count.  The pool is joined before ``simulate_phases`` returns or raises.  A
+worker that dies (say, killed for memory) takes its block with it, so the run
+raises SimulationError, naming the worker's exit code, instead of waiting.
 
 Stepping: a block advances one RNG chunk at a time.  Its live paths are split
 into row tiles of at most TILE paths; each tile is refilled from its paths'
-streams into a tile-sized buffer, so scratch memory is fixed per tile.  The
-whole chunk is then built as (paths x steps) arrays: positions by a
-left-to-right cumulative sum, running maxima by an accumulated maximum, and
-the stop tests column by column.  A path's first firing column ends its
-phase; a path that enters a later wave steps the rest of the chunk in a
-further round, with the columns before its entry masked out.  Every value is
-computed by the same floating-point operations in the same order as a
-step-by-step loop, so results are byte-identical to one.
+streams into a tile-sized buffer.  The whole chunk is then built as
+(paths x steps) arrays, written through ufunc ``out=`` into views of one fixed
+workspace per block, so no round allocates an array of the tile's size:
+positions by a left-to-right cumulative sum, running maxima by an accumulated
+maximum, and the stop tests column by column.  A path's first firing column
+ends its phase; a path that enters a later wave steps the rest of the chunk
+in a further round, with the columns before its entry masked out (a tile's
+first round, where every path starts at column 0, needs no mask).  Every
+value is computed by the same floating-point operations in the same order as
+a step-by-step loop, so results are byte-identical to one.
 """
 
 from __future__ import annotations
@@ -61,7 +65,9 @@ from .welfare import Phase, phase_stats, plan_phases
 
 CHUNK = 128
 # Live paths are stepped through a chunk in row tiles of at most this many
-# paths, which bounds each scratch array at TILE x (CHUNK + 1) values.
+# paths.  Each block's workspace holds five (TILE, CHUNK [+ 1]) float arrays
+# that every round reuses: fresh ones per round (132 KB each, past glibc's
+# 128 KiB mmap threshold) kept the allocator giving back and faulting in pages.
 TILE = 128
 # Paths are stepped in contiguous blocks of at most this many, each building
 # only its own streams (about 0.9 KB a path) and state.  Every block steps its
@@ -214,6 +220,11 @@ def _step_block(phases: Sequence[Phase], config: SimConfig, max_steps: int,
     bridge = config.bridge_correction
     normals = np.empty((TILE, CHUNK))
     uniforms = np.empty((TILE, 2, CHUNK)) if bridge else None
+    # Every round writes its (rows x steps) values into views of this workspace.
+    Xs_buf, Ms_buf = np.empty((2, TILE, CHUNK + 1))
+    f1, f2, f3 = np.empty((3, TILE, CHUNK))
+    b1, b2 = np.empty((2, TILE, CHUNK), dtype=bool)
+    slots = np.arange(TILE)
 
     for c0 in range(0, max_steps, CHUNK):
         if not alive.size:
@@ -225,39 +236,51 @@ def _step_block(phases: Sequence[Phase], config: SimConfig, max_steps: int,
                 gens[p].standard_normal(out=normals[i])
                 if bridge:
                     gens[p].random(out=uniforms[i])
-            loc = np.arange(rows.size)  # each row's slot in the tile buffers
-            start = np.zeros(rows.size, dtype=np.int64)  # first column in its phase
+            # Each row's slot in the tile buffers, and the columns before it entered
+            # its wave: in the first round, slot i and none.
+            loc, before = slice(rows.size), None
             # One round per wave a path enters within this chunk.
             while rows.size:
+                m = rows.size
                 S = scope[phase[rows]][:, None]
                 d = trig[phase[rows]][:, None]
-                before = np.arange(width) < start[:, None]
+                Xs, Ms = Xs_buf[:m, :width + 1], Ms_buf[:m, :width + 1]
+                A, B, C = f1[:m, :width], f2[:m, :width], f3[:m, :width]
                 # cumsum adds left to right, so each X equals the step-by-step sum.
-                Xs = np.empty((rows.size, width + 1))
                 Xs[:, 0] = X[rows]
-                Xs[:, 1:] = np.where(before, 0.0, S * sqdt * normals[loc, :width])
+                np.multiply(S * sqdt, normals[loc, :width], out=Xs[:, 1:])
+                if before is not None:
+                    np.copyto(Xs[:, 1:], 0.0, where=before)
                 np.cumsum(Xs, axis=1, out=Xs)
                 Xo, Xn = Xs[:, :-1], Xs[:, 1:]
                 if bridge:
                     var = S * S * dt
-                    u1 = uniforms[loc, 0, :width]
-                    # within-step maximum of the bridge from Xo to Xn (inverse CDF)
-                    mx = 0.5 * (Xo + Xn + np.sqrt((Xn - Xo) ** 2 - 2.0 * var * np.log(u1)))
+                    # within-step maximum of the bridge from Xo to Xn (inverse CDF):
+                    # 0.5 * (Xo + Xn + sqrt((Xn - Xo)**2 - 2.0 * var * log(u1)))
+                    np.square(np.subtract(Xn, Xo, out=A), out=A)
+                    np.multiply(2.0 * var, np.log(uniforms[loc, 0, :width], out=B), out=B)
+                    np.sqrt(np.subtract(A, B, out=A), out=A)
+                    np.multiply(0.5, np.add(np.add(Xo, Xn, out=B), A, out=B), out=Ms[:, 1:])
                 else:
-                    mx = Xn
-                Ms = np.empty_like(Xs)
+                    Ms[:, 1:] = Xn
+                if before is not None:
+                    np.copyto(Ms[:, 1:], -np.inf, where=before)
                 Ms[:, 0] = Mx[rows]
-                Ms[:, 1:] = np.where(before, -np.inf, mx)
                 np.maximum.accumulate(Ms, axis=1, out=Ms)
                 Mo, Mn = Ms[:, :-1], Ms[:, 1:]
-                fired = Mn - Xn >= d
+                fired = np.greater_equal(np.subtract(Mn, Xn, out=A), d, out=b1[:m, :width])
                 if bridge:
-                    bar = Mo - d
-                    cross = np.exp(np.minimum(0.0, -2.0 * (Xo - bar) * (Xn - bar) / var))
-                    fired |= (Xn <= bar) | (uniforms[loc, 1, :width] < cross)
-                fired &= ~before
+                    # exp(min(0, -2.0 * (Xo - bar) * (Xn - bar) / var)), bar = Mo - d
+                    bar = np.subtract(Mo, d, out=A)
+                    np.multiply(-2.0, np.subtract(Xo, bar, out=B), out=B)
+                    np.multiply(B, np.subtract(Xn, bar, out=C), out=B)
+                    cross = np.exp(np.minimum(0.0, np.divide(B, var, out=B), out=B), out=B)
+                    fired |= np.less_equal(Xn, bar, out=b2[:m, :width])
+                    fired |= np.less(uniforms[loc, 1, :width], cross, out=b2[:m, :width])
+                if before is not None:
+                    np.copyto(fired, False, where=before)
                 first = fired.argmax(axis=1)
-                ar = np.arange(rows.size)
+                ar = np.arange(m)
                 hit = fired[ar, first]
                 end = np.where(hit, first, width - 1)
                 X[rows] = Xn[ar, end]
@@ -275,9 +298,26 @@ def _step_block(phases: Sequence[Phase], config: SimConfig, max_steps: int,
                     idx, at = idx[again], at[again]
                 # paths that entered a later wave step the rest of the chunk in it
                 go = hit & (phase[rows] < n_waves) & (first + 1 < width)
-                rows, loc, start = rows[go], loc[go], first[go] + 1
+                rows, loc = rows[go], slots[loc][go]
+                before = np.arange(width) < first[go][:, None] + 1
         alive = alive[phase[alive] < n_waves]
     return Mx, phase, wave_step, wave_M, collapse_wave
+
+
+def _next_block(parts, workers) -> tuple[np.ndarray, ...]:
+    """The pool's next block; raises once any of ``workers``, the processes the
+    pool started with, is gone, since a dead worker's block never arrives."""
+    import multiprocessing
+
+    while True:
+        try:
+            return parts.next(timeout=1.0)
+        except multiprocessing.TimeoutError:
+            live = multiprocessing.active_children()
+            for p in workers:
+                if p not in live:
+                    raise SimulationError(f"a simulation worker (pid {p.pid}) "
+                                          f"died with exit code {p.exitcode}") from None
 
 
 def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
@@ -318,13 +358,16 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
     if workers > 1:
         import multiprocessing  # deferred: only a pooled run pays for the import
 
+        others = multiprocessing.active_children()
         # fork, not spawn: a spawned worker would import numpy and the package
         # again; the package starts no threads, and the stepper calls no BLAS.
         pool = multiprocessing.get_context("fork").Pool(workers)
+        started = [p for p in multiprocessing.active_children() if p not in others]
     try:
         parts = pool.imap(step, blocks) if pool else map(step, blocks)
         # written back in block order, so the outcome is the same at every worker count
-        for (lo, hi), part in zip(blocks, parts):
+        for lo, hi in blocks:
+            part = _next_block(parts, started) if pool else next(parts)
             for out, block_out in zip((Mx, phase, wave_step, wave_M, collapse_wave), part):
                 out[..., lo:hi] = block_out
     finally:

@@ -12,8 +12,10 @@ import math
 import multiprocessing
 import multiprocessing.context
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -600,3 +602,43 @@ def test_single_agent_engine_matches_exact_moments():
     assert abs(z((m - m.mean()) ** 2 * n / (n - 1), d * d)) <= 3.0  # z = -0.26
     assert abs(z(tau, d * d / (S * S))) <= 3.0  # z = +0.19
     assert abs(z(np.exp(-lam * tau), 1.0 / math.cosh(d * math.sqrt(2.0 * lam) / S))) <= 3.0  # z = -0.47
+
+
+# ---------------------------------------------------------------------------
+# The stepping workspace and dead workers
+
+
+@pytest.mark.parametrize("tile", [1, 7, simulate.TILE])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_every_reference_case_matches_step_loop_at_every_tile_fill(monkeypatch, case, tile):
+    # Partial tiles, the masked re-entry rounds of the double_fire cases and
+    # the narrow last chunk of censored_mid_chunk all step in workspace views.
+    phases, config = REFERENCE_CASES[case]
+    monkeypatch.setattr(simulate, "TILE", tile)
+    out = simulate_phases(phases, phases[0].alliance, config)
+    expected = reference_outcome(case)
+    assert out.equals(expected)
+    assert out.warnings == expected.warnings
+
+
+_STEP_BLOCK = simulate._step_block
+
+
+def _step_block_killing_second(phases, config, max_steps, block):
+    """``_step_block``, except that the worker given the second block kills itself."""
+    if block[0] > 0:
+        assert multiprocessing.parent_process() is not None  # never the test process
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _STEP_BLOCK(phases, config, max_steps, block)
+
+
+def test_killed_worker_raises_instead_of_hanging(monkeypatch):
+    phases, config = REFERENCE_CASES["one_wave_naive"]
+    monkeypatch.setattr(simulate, "_step_block", _step_block_killing_second)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)  # pooled on any host
+    monkeypatch.setattr(simulate, "POOL_WORK", 0)
+    t0 = time.monotonic()
+    with pytest.raises(SimulationError, match=r"worker \(pid \d+\) died with exit code -9"):
+        simulate_phases(phases, phases[0].alliance, config)
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
