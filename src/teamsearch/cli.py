@@ -32,13 +32,7 @@ from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
 from .errors import SimulationError, TeamSearchError, ValidationError
 from .penalty import PenaltyConfig, PenaltySpec, expected_penalty_payoffs, penalty_policy
 from .planner import optimal_chain, planner_drawdown
-from .scopes import (
-    ProfileCache,
-    equilibrium_scopes,
-    planner_profiles,
-    planner_scopes,
-    reply_pattern,
-)
+from .scopes import ProfileCache
 from .simulate import SimConfig, SimOutcome, simulate_phases, simulate_schedule
 from .welfare import chain_exits, chain_welfare
 
@@ -242,13 +236,12 @@ def cmd_solve(config: ScenarioConfig, args: argparse.Namespace) -> int:
     team = tuple(range(len(config.agents)))
     costs = list(config.agents)
     rows = [["agent", "sigma", "cost_rate", "drawdown"]]
+    cache = ProfileCache(args.mode)
+    profile = cache.profile(team, costs, config.scope_bounds)
     if args.mode == "eq":
-        profile = equilibrium_scopes(team, costs, config.scope_bounds)
         drawdowns = equilibrium_drawdowns(team, profile, costs)
         per_agent = {i: drawdowns.per_agent[i] for i in team}
     else:
-        cache = ProfileCache(planner_scopes)
-        profile = cache.profile(team, costs, config.scope_bounds)
         shared = planner_drawdown(team, (), costs, config.scope_bounds, cache)
         per_agent = {i: shared for i in team}
     for i in team:
@@ -381,7 +374,7 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
     # keyed by them, filled by the cascade as it goes, serves the whole scan.
     # Planner profiles depend on every multiplier: one memo per grid row,
     # whose cells share sub-alliances.
-    eq_cache = ProfileCache(equilibrium_scopes, reply_pattern)
+    eq_cache = ProfileCache("eq")
     for b3 in beta3s:
         cells = {
             b2: [ScaledExponential(b=rate), ScaledExponential(b=rate, beta=b2),
@@ -392,9 +385,9 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
         # The agents get cheaper by index, so the greedy chain uses suffix
         # alliances only: those are solved for the whole row in batched passes
         # before its cells run (anything else is solved when asked for).
-        sp_cache = ProfileCache(planner_scopes)
+        sp_cache = ProfileCache("sp")
         sp_cache.prefetch([(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))],
-                          bounds, planner_profiles)
+                          bounds)
         for b2 in beta2s:
             if b2 not in cells:
                 rows.append([_fmt(b2), _fmt(b3), "", ""])

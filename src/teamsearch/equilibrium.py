@@ -15,8 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError
-from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, equilibrium_scopes
-from .scopes import reply_pattern
+from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance
 
 # Drawdowns within this (scaled) tolerance of the minimum exit together.
 TIE_TOL = 1e-12
@@ -95,14 +94,13 @@ def equilibrium_exit_schedule(
     Each wave starts from the binding drawdown of the current alliance and
     grows as long as some remaining agent's recomputed drawdown sits at or
     below that same trigger (she would have to stop immediately as well).
-    ``cache``, a ProfileCache of ``equilibrium_scopes``, may share solved
-    profiles between schedules; by default each schedule solves its
-    alliances once.
+    ``cache``, a ``ProfileCache("eq")``, may share solved profiles between
+    schedules; by default each schedule solves its alliances once.
     """
     members = as_alliance(team, len(costs))
     if not members:
         raise ValueError("team must be non-empty")
-    cache = cache or ProfileCache(equilibrium_scopes, reply_pattern)
+    cache = cache or ProfileCache("eq")
 
     def drawdowns(alliance: Alliance) -> tuple[ScopeProfile, DrawdownSet]:
         try:

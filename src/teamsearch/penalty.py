@@ -130,10 +130,10 @@ def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None
         alpha, dc, sigma = solo.exit_scale, solo.trigger, solo.scope
         solo_rate = solo.rates[policy.follower]
         m_bar = team.threshold
-        stay = math.exp(-m_bar / d) if math.isfinite(m_bar) else 0.0  # P(exit with leader)
+        stay = math.exp(-m_bar / d)  # P(exit with leader): 0.0 for an infinite m_bar
         q = 1.0 - stay
         # E[M 1{M >= m_bar}] for M ~ Exp(d) is (m_bar + d) * stay
-        truncated_high = (m_bar + d) * stay if math.isfinite(m_bar) else 0.0
+        truncated_high = (m_bar + d) * stay if stay else 0.0
         value += truncated_high  # exits with the leader: undiscounted
         value += alpha * (d - truncated_high)  # continues: keeps alpha * M ...
         value += q * alpha * (dc - d)  # ... plus alpha * expected extra gain

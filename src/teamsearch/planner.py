@@ -20,8 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .costs import CostSpec, ScopeBounds
 from .errors import SolverError, ValidationError
-from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance, planner_profiles
-from .scopes import planner_scopes
+from .scopes import Alliance, ProfileCache, ScopeProfile, as_alliance
 from .welfare import WelfareReport, chain_welfare
 
 ARGMAX_TIE_TOL = 1e-12
@@ -55,7 +54,7 @@ class _Links:
     def __init__(
         self, costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
     ):
-        self.cache = cache or ProfileCache(planner_scopes)
+        self.cache = cache or ProfileCache("sp")
         self.costs = costs
         self.bounds = bounds
         self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
@@ -90,7 +89,7 @@ def planner_drawdown(
 
     Dominated links yield non-positive or infinite values, which are returned
     as-is (chain feasibility is judged by the caller).  ``cache``, a
-    ProfileCache of ``planner_scopes``, may hold the link's profiles already.
+    ``ProfileCache("sp")``, may hold the link's profiles already.
     """
     cur = as_alliance(current, len(costs))
     suc = as_alliance(successor, len(costs))
@@ -240,7 +239,7 @@ def _dp_optimal_chain(
     # Solved in the order brute force first reaches them, so a failing solve
     # (one the prefetch left unsolved) raises the error brute force would.
     order = [team, *successors(team)[1:]]
-    links.cache.prefetch([(a, costs) for a in order], bounds, planner_profiles)
+    links.cache.prefetch([(a, costs) for a in order], bounds)
     for alliance in order:
         links.cost_per_speed(alliance)
     by_size = order[1:] + order[:1]  # smallest alliances first
@@ -279,8 +278,8 @@ def optimal_chain(
 ) -> AllianceChain:
     """Planner chain: greedy for proportional ordered costs, the DP otherwise.
 
-    ``cache``, a ProfileCache of ``planner_scopes``, may share solved profiles
-    between chains; by default each chain solves its alliances once.
+    ``cache``, a ``ProfileCache("sp")``, may share solved profiles between
+    chains; by default each chain solves its alliances once.
     """
     try:
         return greedy_wellordered_chain(costs, bounds, cache)

@@ -19,8 +19,8 @@ call and checks its costs once, through their sum; k-section compares signs
 by ``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
-``ProfileCache(equilibrium_scopes, reply_pattern)`` shares one profile among
-all cost lists whose members have the same reply keys and share specs alike.
+``ProfileCache("eq")`` shares one profile among all cost lists whose members
+have the same reply keys and share specs alike.
 """
 
 from __future__ import annotations
@@ -461,52 +461,56 @@ def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]
     return _in_passes(_planner_pass, problems, bounds)
 
 
-def member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
+def _member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
     """The members' cost specs: all of them that any solve reads."""
     return tuple(costs[i] for i in alliance)
 
 
-def reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
+def _reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
     """All that an equilibrium solve reads of the members' specs: their reply
     keys, and which members share a spec (a pass sums one reply per distinct
     spec, so splitting or merging equal specs changes the rounding)."""
-    specs = tuple(costs[i] for i in alliance)
-    return tuple(spec.reply_key() for spec in specs), tuple(map(specs.index, specs))
+    specs, first = [costs[i] for i in alliance], {}  # spec -> its first position
+    return (tuple(spec.reply_key() for spec in specs),
+            tuple(first.setdefault(spec, k) for k, spec in enumerate(specs)))
 
 
 class ProfileCache:
-    """Profiles from ``solve(alliance, costs, bounds)``, each solved once.
+    """Profiles of one mode, ``"eq"`` or ``"sp"``, each solved once.
 
-    Entries are keyed by (alliance, ``key(alliance, costs)``, bounds), which
-    must hold all that a solve reads, so one cache serves any number of cost
-    lists.  ``key`` is ``member_specs`` by default; ``reply_pattern`` suits
-    ``equilibrium_scopes``.
+    A mode solves by ``equilibrium_scopes`` or ``planner_scopes``, batched by
+    ``equilibrium_profiles`` or ``planner_profiles`` (this module's bindings
+    when the cache is built).  Entries are keyed by (alliance, the members'
+    reply pattern or specs, bounds): all that a solve reads, so one cache
+    serves any number of cost lists.
     """
 
-    def __init__(self, solve, key=member_specs):
-        self.solve = solve
-        self.key = key
+    def __init__(self, mode: str):
+        self.solve, self._solve_many, self._key = {
+            "eq": (equilibrium_scopes, equilibrium_profiles, _reply_pattern),
+            "sp": (planner_scopes, planner_profiles, _member_specs),
+        }[mode]
         self._profiles: dict[tuple, ScopeProfile] = {}
 
     def profile(
         self, alliance: Alliance, costs: Sequence[CostSpec], bounds: ScopeBounds
     ) -> ScopeProfile:
-        key = (alliance, self.key(alliance, costs), bounds)
+        key = (alliance, self._key(alliance, costs), bounds)
         if key not in self._profiles:
             self._profiles[key] = self.solve(alliance, costs, bounds)
         return self._profiles[key]
 
-    def prefetch(self, problems, bounds: ScopeBounds, solve_many) -> None:
-        """Solve the uncached (alliance, costs) problems together by ``solve_many``.
+    def prefetch(self, problems, bounds: ScopeBounds) -> None:
+        """Solve the uncached (alliance, costs) problems together in batched passes.
 
-        They go to it largest alliance first (a stable sort), so in each pass
+        They go in largest alliance first (a stable sort), so in each pass
         every member position's terms are one run of rows, read through a
-        slice.  A problem it gives None for is left to ``profile``, which
-        solves it alone and so raises its error as that solve would.
+        slice.  A problem a failed pass leaves unsolved is left to ``profile``,
+        which solves it alone and so raises its error as that solve would.
         """
-        todo = {(a, self.key(a, c), bounds): (a, c) for a, c in problems}
+        todo = {(a, self._key(a, c), bounds): (a, c) for a, c in problems}
         keys = sorted((key for key in todo if key not in self._profiles), key=lambda k: -len(k[0]))
-        for key, prof in zip(keys, solve_many([todo[key] for key in keys], bounds)):
+        for key, prof in zip(keys, self._solve_many([todo[key] for key in keys], bounds)):
             if prof is not None:
                 self._profiles[key] = prof
 

@@ -406,7 +406,7 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
         e = np.where((collapse_wave >= 0) & (collapse_wave < k_own), collapse_wave, k_own)
         fired_e = wave_step[e, cols] >= 0
         reward_M = np.where(fired_e, wave_M[e, cols], Mx)
-        scale = np.where(fired_e & (e == k_own), scales[k_own], np.where(fired_e, 1.0, scales[k_own]))
+        scale = np.where(fired_e & (e != k_own), 1.0, scales[k_own])
         payoffs[row] = scale * reward_M - flow_costs[row]
 
     wave_tau = np.where(wave_step >= 0, wave_step * dt, np.nan)

@@ -179,16 +179,16 @@ def test_drawdowns_reject_bad_profile():
 def test_cascade_solves_each_alliance_once(monkeypatch):
     # Remainders checked for pull-in become the next alliance; the schedule
     # reuses those profiles instead of solving them again.
-    import teamsearch.equilibrium as equilibrium_module
+    import teamsearch.scopes as scopes_module
 
     solved = []
-    real = equilibrium_module.equilibrium_scopes
+    real = scopes_module.equilibrium_scopes
 
     def counting(alliance, costs, bounds):
         solved.append(tuple(alliance))
         return real(alliance, costs, bounds)
 
-    monkeypatch.setattr(equilibrium_module, "equilibrium_scopes", counting)
+    monkeypatch.setattr(scopes_module, "equilibrium_scopes", counting)
     for betas in ([1.0, 1.2, 8.0], [1.0, 1.2, 2.0], [1.0, 1.5, 3.0, 9.0]):
         solved.clear()
         schedule = equilibrium_exit_schedule(range(len(betas)), exp_team(betas), WIDE)

@@ -31,3 +31,17 @@ def test_no_module_imports_a_private_sibling_name():
     assert len(modules) > 5
     offenders = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_only_scopes_picks_a_batched_solve():
+    # A ProfileCache picks its batched solve from its mode, so no sibling of
+    # scopes.py imports one.
+    batched = {"equilibrium_profiles", "planner_profiles"}
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        if names & batched:
+            offenders[path.name] = sorted(names & batched)
+    assert offenders == {}

@@ -220,6 +220,7 @@ def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
     # of feasible chains, cost() runs at most once per member of each distinct
     # alliance, however many chain links reuse that alliance.
     import teamsearch.planner as planner_module
+    import teamsearch.scopes as scopes_module
 
     inside, counted, solved = [0], [0], set()
 
@@ -237,9 +238,9 @@ def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
                 inside[0] -= 1
         return wrapped
 
-    solve = uncounted(planner_module.planner_scopes)
+    solve = uncounted(scopes_module.planner_scopes)
     monkeypatch.setattr(
-        planner_module, "planner_scopes", lambda *args: solved.add(args[0]) or solve(*args)
+        scopes_module, "planner_scopes", lambda *args: solved.add(args[0]) or solve(*args)
     )
     monkeypatch.setattr(planner_module, "chain_welfare", uncounted(planner_module.chain_welfare))
     costs = [CountingExponential(b=1.0, beta=beta) for beta in (3.0, 1.0, 5.0, 1.5, 2.0)]

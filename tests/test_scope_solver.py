@@ -438,8 +438,8 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
 def test_prefetch_leaves_failed_problems_to_a_single_solve():
     good = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
     bad = [AffineQuadratic(1.0, 0.0, 1.0)]
-    cache = ProfileCache(equilibrium_scopes)
-    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], WIDE, equilibrium_profiles)
+    cache = ProfileCache("eq")
+    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], WIDE)
     with pytest.raises(SolverError) as batched:
         cache.profile((0,), bad, WIDE)
     with pytest.raises(SolverError) as alone:
@@ -783,7 +783,7 @@ def test_reply_pattern_memo_keeps_split_and_merged_specs_apart():
     team = (0, 1, 2)
     assert equilibrium_scopes(team, merged, bounds) != equilibrium_scopes(team, split, bounds)
     for first, second in ((merged, split), (split, merged)):
-        cache = ProfileCache(equilibrium_scopes, scopes_module.reply_pattern)
+        cache = ProfileCache("eq")
         one, two = cache.profile(team, first, bounds), cache.profile(team, second, bounds)
         assert len(cache._profiles) == 2
         assert one == equilibrium_scopes(team, first, bounds)
@@ -856,9 +856,9 @@ def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
             orders.append(order)
             yield order, cnt, terms
 
-    cache = ProfileCache(planner_scopes)
+    cache = ProfileCache("sp")
     monkeypatch.setattr(scopes_module, "_by_term", recording)
-    cache.prefetch(cell_major, WIDE, planner_profiles)
+    cache.prefetch(cell_major, WIDE)
     monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
     assert len(cache._profiles) == 2 * len(cells) + 1  # the cells share (2,)
     assert len(orders) > 50 and all(isinstance(order, slice) for order in orders)
@@ -909,3 +909,32 @@ def test_mixed_pass_groups_terms_by_position_and_stack():
 def test_stack_of_one_spec_is_that_spec():
     spec = ScaledPower(a=1.0, p=3.0, beta=2.0)
     assert scopes_module.SpecStack([spec]).take(np.array([0, 0, 0])) is spec
+
+
+def test_reply_pattern_finds_first_equal_specs_in_linear_time():
+    # Each member's first equal spec is looked up by hash, so an alliance of
+    # distinct specs makes no quadratic run of equality tests.
+    calls = [0]
+
+    class CountingExponential(ScaledExponential):
+        __hash__ = ScaledExponential.__hash__
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return super().__eq__(other)
+
+    n = 400
+    distinct = [CountingExponential(b=1.0, beta=1.0 + k / n) for k in range(n)]
+    pattern = scopes_module._reply_pattern(tuple(range(n)), distinct)
+    assert calls[0] < 2 * n
+    assert pattern[1] == tuple(range(n))
+    # Repeated (equal but not identical) and rescaled specs give the key that
+    # looking each member's spec up by ``specs.index`` gives.
+    exp, power = CountingExponential(b=1.0), ScaledPower(a=1.0, p=3.0)
+    costs = [exp, power, CountingExponential(b=1.0), exp, CountingExponential(b=1.0, beta=2.0),
+             ScaledPower(a=2.0, p=3.0, beta=1.5), ScaledPower(a=1.0, p=3.0),
+             CountingExponential(b=1.0, beta=2.0)]
+    for alliance in (tuple(range(len(costs))), (7, 4, 0, 2), (6, 1, 3, 5)):
+        specs = tuple(costs[i] for i in alliance)
+        assert scopes_module._reply_pattern(alliance, costs) == (
+            tuple(spec.reply_key() for spec in specs), tuple(map(specs.index, specs)))
