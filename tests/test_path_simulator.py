@@ -437,6 +437,16 @@ def test_chunked_engine_matches_reference_on_random_phase_sets():
         )
 
 
+@pytest.mark.parametrize("tile", [1, 7, simulate.TILE])
+def test_tile_size_leaves_outcome_unchanged(monkeypatch, tile):
+    phases, config = REFERENCE_CASES["collapse_and_exit_scale"]
+    expected = reference_simulate_phases(phases, phases[0].alliance, config)
+    monkeypatch.setattr(simulate, "TILE", tile)
+    out = simulate_phases(phases, phases[0].alliance, config)
+    assert out.equals(expected)
+    assert out.warnings == expected.warnings
+
+
 def test_schedule_and_chain_share_random_numbers():
     # two symmetric agents: equilibrium total 2/e, planner total 8/e^2,
     # so the welfare gap is 8/e^2 - 2/e = 0.3469233829...  Both plans run
