@@ -21,9 +21,9 @@ the scalar scope below which its c, c' and c'' cannot overflow
 closed-form ``ratio`` where one exists, with the ``reply_key`` that ratio
 depends on.
 
-``SpecStack`` evaluates many specs of one family as one spec whose varying
-parameters are columns, so each element takes the operations its own spec's
-call would.
+``SpecStack`` evaluates many specs of one family as one spec whose parameters
+that differ between the specs are columns and whose shared parameters are
+floats, so each element takes the operations its own spec's call would.
 """
 
 from __future__ import annotations
@@ -320,34 +320,45 @@ CostSpec = CostFamily
 class SpecStack:
     """Specs with one stack key, evaluated together.
 
-    ``take(rows)`` is a spec of their family whose varying parameters are
-    (len(rows), 1) columns, row j holding those of ``specs[rows[j]]``, and
-    whose ``stack_scalars`` are the specs' shared values.  Its methods take a
-    (len(rows), m) array, and each element goes through the same operations
-    as a call of its own spec would.  The stacked spec skips the parameter
-    checks (every spec has passed them) and cannot be hashed.  A stack of one
-    spec is that spec.
+    ``take(rows)`` is a spec of their family whose parameters that differ
+    between the specs are (len(rows), 1) columns, row j holding those of
+    ``specs[rows[j]]``, and whose other parameters, ``stack_scalars`` among
+    them, are the specs' shared values: a float and a column give the same
+    IEEE result in the families' ``*``, ``/``, ``+`` and ``-``, and the
+    float skips numpy's broadcast loop.  Its methods take a (len(rows), m)
+    array, and each element goes through the same operations as a call of
+    its own spec would.  The stacked spec skips the parameter checks (every
+    spec has passed them) and cannot be hashed.  A stack of one spec is that
+    spec.
     """
 
     def __init__(self, specs: Sequence[CostFamily]):
         first = specs[0]
         self.only = first if len(specs) == 1 else None
         self.family = type(first)
-        self.scalars = {name: getattr(first, name) for name in first.stack_scalars}
-        self.names = [f.name for f in fields(first) if f.name not in self.scalars]
-        self.columns = [np.array([getattr(spec, name) for spec in specs], dtype=float)
-                        for name in self.names]
+        self.shared = {name: getattr(first, name) for name in first.stack_scalars}
+        self.columns: dict[str, np.ndarray] = {}
+        if self.only is not None:
+            return
+        for name in (f.name for f in fields(first) if f.name not in self.shared):
+            column = np.array([getattr(spec, name) for spec in specs], dtype=float)
+            bits = column.view(np.uint64)  # equal bits: 0.0 and -0.0 stay a column
+            if (bits == bits[0]).all():
+                self.shared[name] = float(column[0])
+            else:
+                self.columns[name] = column
 
     def take(self, rows: np.ndarray) -> CostFamily:
         if self.only is not None:
             return self.only
         spec = object.__new__(self.family)
-        for name, column in zip(self.names, self.columns):
-            object.__setattr__(spec, name, column[rows, None])
-        for name, value in self.scalars.items():
+        for name, value in self.shared.items():
             object.__setattr__(spec, name, value)
+        for name, column in self.columns.items():
+            object.__setattr__(spec, name, column[rows, None])
         object.__setattr__(spec, "_scalar_limit", -math.inf)  # columns: always guarded
         return spec
+
 
 # Scenario-file family name of each cost class.
 FAMILIES: dict[str, type] = {

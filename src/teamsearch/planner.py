@@ -140,6 +140,7 @@ def greedy_wellordered_chain(
     n = len(costs)
     links = _Links(costs, bounds, cache)
     suffix = lambda j: tuple(range(j, n))
+    links.cache.prefetch([(suffix(j), costs) for j in range(n)], bounds)
 
     picks: list[int] = []
     upper = n  # consider suffixes starting strictly below this index

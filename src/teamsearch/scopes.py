@@ -10,7 +10,9 @@ parametrized by a common marginal cost lambda and the optimality condition
 Problems are solved in batched passes of (problems x grid) arrays.  Each
 round evaluates the rows' terms by member position and stack key: one call
 per cost family (and power exponent) at a position, on a spec stacked over
-that group's rows, where a stack of one spec is that spec.  A single solve
+that group's rows, where a stack of one spec is that spec.  A position
+groups its terms once per set of rows, so the grid call and every round in
+which each row keeps one bracket reuse the same groups.  A single solve
 is a pass of one problem.  Each row does the arithmetic of a solve alone,
 so a profile does not depend on its batch.  A group whose rows are one run
 (prefetch lists problems largest alliance first) is read and summed through
@@ -26,7 +28,7 @@ have the same reply keys and share specs alike.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,6 +155,7 @@ class _Position:
     stack: np.ndarray  # each row's index in stacks (-1: no term there)
     index: np.ndarray  # each row's spec index in its stack
     count: np.ndarray  # each row's count of agents with that spec
+    groups: dict = field(default_factory=dict)  # row set's bytes -> its _by_term groups here
 
 
 def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list[_Position]:
@@ -180,18 +183,24 @@ def _by_term(slots: list[_Position], rows: np.ndarray):
 
     The entries are a slice when they are one run (always so when the pass's
     specs share one stack key and its problems are listed by alliance size),
-    else an index array.
+    else an index array.  A position groups each row set once and yields the
+    same groups to every later call on those rows (the grid call and the
+    rounds where each row keeps one bracket).
     """
+    key = rows.tobytes()
     for slot in slots:
-        at = slot.stack[rows]
-        for s, stack in enumerate(slot.stacks):
-            sel = np.flatnonzero(at == s)
-            if not sel.size:
-                continue
-            picked = rows[sel]
-            first, last = sel[[0, -1]].tolist()
-            order = slice(first, last + 1) if last - first + 1 == len(sel) else sel
-            yield order, slot.count[picked, None], stack.take(slot.index[picked])
+        if key not in slot.groups:
+            at = slot.stack[rows]
+            groups = slot.groups[key] = []
+            for s, stack in enumerate(slot.stacks):
+                sel = np.flatnonzero(at == s)
+                if not sel.size:
+                    continue
+                picked = rows[sel]
+                first, last = sel[[0, -1]].tolist()
+                order = slice(first, last + 1) if last - first + 1 == len(sel) else sel
+                groups.append((order, slot.count[picked, None], stack.take(slot.index[picked])))
+        yield from slot.groups[key]
 
 
 def _row_sums(slots: list[_Position], x: np.ndarray, at: np.ndarray, term) -> list[np.ndarray]:

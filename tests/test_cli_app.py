@@ -560,3 +560,17 @@ def test_penalty_frequency_is_a_share_of_paths_whose_first_exit_fired(tmp_path):
     result = run_cli("simulate", write_scenario(tmp_path, doc), "--mode", "penalty")
     assert result.returncode == 1 and result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1 and "first exit" in result.stderr
+
+
+def test_team_over_agent_budget_exits_two_quickly(tmp_path):
+    from teamsearch.cli import MAX_TEAM_AGENTS
+
+    doc = base_doc(betas=[1.0 + 0.05 * i for i in range(MAX_TEAM_AGENTS + 1)])
+    result = subprocess.run(
+        [sys.executable, "-m", "teamsearch", "schedule", write_scenario(tmp_path, doc)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert_one_line_error(result)
+    assert "budget" in result.stderr
+    doc["agents"].pop()
+    assert run_cli("validate", write_scenario(tmp_path, doc)).returncode == 0

@@ -938,3 +938,73 @@ def test_reply_pattern_finds_first_equal_specs_in_linear_time():
         specs = tuple(costs[i] for i in alliance)
         assert scopes_module._reply_pattern(alliance, costs) == (
             tuple(spec.reply_key() for spec in specs), tuple(map(specs.index, specs)))
+
+
+@pytest.mark.parametrize("specs, rows", [
+    ([ScaledExponential(b=1.0, beta=1.0), ScaledExponential(b=1.0, beta=3.0),
+      ScaledExponential(b=1.0, beta=7.5)], [2, 0, 1, 2]),
+    ([ScaledPower(a=2.0, p=3.0, beta=1.0), ScaledPower(a=2.0, p=3.0, beta=4.0)], [1, 0, 1]),
+    ([AffineQuadratic(a2=1.5, a1=0.0, a0=0.5), AffineQuadratic(a2=1.5, a1=0.25, a0=0.5),
+      AffineQuadratic(a2=1.5, a1=0.75, a0=0.5)], [0, 2, 1, 0]),
+], ids=["exp", "pow", "affine"])
+def test_stacked_spec_keeps_shared_parameters_as_floats(specs, rows):
+    # A parameter every spec of the stack shares is one float, not a column;
+    # each element still gets its own spec's bits from every method.
+    spec = scopes_module.SpecStack(specs).take(np.array(rows))
+    for name in specs[0].__dataclass_fields__:
+        values = {getattr(s, name) for s in specs}
+        value = getattr(spec, name)
+        if len(values) == 1:
+            assert type(value) is float and value == values.pop()
+        else:
+            assert value.shape == (len(rows), 1)
+    x = np.linspace(0.1, 5.0, 6 * len(rows)).reshape(len(rows), 6)
+    for method in ("cost", "marginal", "inverse_marginal", "ratio", "scope_at_ratio"):
+        if isinstance(specs[0], ScaledExponential) and method == "scope_at_ratio":
+            for s in (spec, specs[0]):
+                with pytest.raises(CostDomainError):
+                    s.scope_at_ratio(x)
+            continue
+        got = getattr(spec, method)(x)
+        for j, k in enumerate(rows):
+            assert got[j].tobytes() == getattr(specs[k], method)(x[j]).tobytes(), method
+
+
+def test_stacked_spec_keeps_signed_zeros_apart():
+    # 0.0 and -0.0 compare equal but may round differently: not a shared value.
+    specs = [AffineQuadratic(a2=1.0, a1=0.0, a0=1.0), AffineQuadratic(a2=1.0, a1=-0.0, a0=2.0)]
+    spec = scopes_module.SpecStack(specs).take(np.array([0, 1]))
+    assert spec.a2 == 1.0 and np.signbit(spec.a1.ravel()).tolist() == [False, True]
+
+
+def test_planner_pass_takes_each_stack_once_per_row_set(monkeypatch):
+    # A pass groups its terms once per row set: the grid call and the rounds
+    # in which every row keeps its one bracket reuse the grid call's groups.
+    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
+              ScaledExponential(b=1.0, beta=12.0)]
+             for b2 in np.arange(1, 97) * 0.25 if 12.0 > b2 > 1.0]
+    problems = [(a, c) for a in ((0, 1, 2), (1, 2), (2,)) for c in cells]
+    takes, stacks, yields = {}, [], [0]
+    real_take = scopes_module.SpecStack.take
+
+    def take(stack, rows):
+        stacks.append(stack)  # kept alive, so no id is reused
+        key = id(stack), rows.tobytes()
+        takes[key] = takes.get(key, 0) + 1
+        return real_take(stack, rows)
+
+    real_by_term = scopes_module._by_term
+
+    def by_term(slots, rows):
+        for group in real_by_term(slots, rows):
+            yields[0] += 1
+            yield group
+
+    monkeypatch.setattr(scopes_module.SpecStack, "take", take)
+    monkeypatch.setattr(scopes_module, "_by_term", by_term)
+    profiles = planner_profiles(problems, WIDE)
+    monkeypatch.undo()
+    assert takes and max(takes.values()) == 1
+    assert yields[0] > 2 * len(takes)  # the rounds reuse the grid call's groups
+    for (alliance, costs), prof in zip(problems, profiles):
+        assert prof == planner_scopes(alliance, costs, WIDE)

@@ -67,3 +67,29 @@ def test_scan_solves_three_equilibria(solved, monkeypatch, tmp_path):
     eq_caches = [c for c in caches if c.solve is scopes_module.equilibrium_scopes]
     assert len(eq_caches) == 1 and len(eq_caches[0]._profiles) == 3
     assert len(caches) == 1 + 12  # and one planner memo per grid row
+
+
+def test_greedy_chain_solves_its_suffixes_in_batched_passes(monkeypatch, tmp_path):
+    # The greedy chain prefetches all n suffix alliances, so a sorted 40-agent
+    # team makes ceil(40 / PASS_ROWS) planner passes, not one per suffix, and
+    # prints what it prints when each suffix is solved alone.
+    agents = [{"family": "scaled_exponential", "b": 1.0, "beta": 1.0 + 0.05 * i}
+              for i in range(40)]
+    path = tmp_path / "sorted40.json"
+    path.write_text(json.dumps({"agents": agents, "scope_bounds": {"lo": 0.1, "hi": 10.0}}),
+                    encoding="utf-8")
+    argv = ["schedule", str(path), "--mode", "sp"]
+    passes = [0]
+    real = scopes_module._planner_pass
+
+    def counting(problems, bounds):
+        passes[0] += 1
+        return real(problems, bounds)
+
+    monkeypatch.setattr(scopes_module, "_planner_pass", counting)
+    out = run(argv)
+    assert passes[0] <= 3
+    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", lambda *args: None)
+    passes[0] = 0
+    assert run(argv) == out
+    assert passes[0] == 40
