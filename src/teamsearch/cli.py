@@ -33,7 +33,7 @@ from .costs import FAMILIES, CostSpec, ScaledExponential, ScopeBounds, validate_
 from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
 from .errors import SimulationError, TeamSearchError, ValidationError
 from .penalty import PenaltyConfig, PenaltySpec, expected_penalty_payoffs, penalty_policy
-from .planner import optimal_chain, planner_drawdown
+from .planner import optimal_chain, optimal_chains, planner_drawdown
 from .scopes import ProfileCache
 from .simulate import SimConfig, SimOutcome, simulate_phases, simulate_schedule
 from .welfare import chain_exits, chain_welfare
@@ -391,8 +391,7 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
     # An equilibrium profile depends on the costs only through their reply
     # keys (all ("exp", b) here) and which agents share a spec, so one memo
     # keyed by them, filled by the cascade as it goes, serves the whole scan.
-    # Planner profiles depend on every multiplier: one memo per grid row,
-    # whose cells share sub-alliances.
+    # Planner profiles depend on every multiplier: a row's chains share one memo.
     eq_cache = ProfileCache("eq")
     for b3 in beta3s:
         cells = {
@@ -401,20 +400,14 @@ def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
             for b2 in beta2s
             if b3 > b2 > 1.0
         }
-        # The agents get cheaper by index, so the greedy chain uses suffix
-        # alliances only: those are solved for the whole row in batched passes
-        # before its cells run (anything else is solved when asked for).
-        sp_cache = ProfileCache("sp")
-        sp_cache.prefetch([(a, c) for c in cells.values() for a in ((0, 1, 2), (1, 2), (2,))],
-                          bounds)
+        chains = dict(zip(cells, optimal_chains(list(cells.values()), bounds)))
         for b2 in beta2s:
             if b2 not in cells:
                 rows.append([_fmt(b2), _fmt(b3), "", ""])
                 continue
             schedule = equilibrium_exit_schedule(range(3), cells[b2], bounds, eq_cache)
             eq_label = _partition_label([w.exiting for w in schedule.waves])
-            chain = optimal_chain(cells[b2], bounds, sp_cache)
-            sp_label = _partition_label(chain_exits(chain.alliances))
+            sp_label = _partition_label(chain_exits(chains[b2].alliances))
             rows.append([_fmt(b2), _fmt(b3), eq_label, sp_label])
     _emit(rows, [], args.out)
     if args.svg:

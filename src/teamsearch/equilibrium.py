@@ -106,7 +106,10 @@ def equilibrium_exit_schedule(
         try:
             profile = cache.profile(alliance, costs, bounds)
         except SolverError as exc:
-            raise SolverError(f"scope solve failed for sub-alliance {alliance}: {exc}") from exc
+            shown = alliance if len(alliance) <= 10 else (  # keep a large team's line short
+                f"({alliance[0]}, {alliance[1]}, {alliance[2]}, ..., {alliance[-1]})"
+                f" of {len(alliance)} members")
+            raise SolverError(f"scope solve failed for sub-alliance {shown}: {exc}") from exc
         return profile, equilibrium_drawdowns(alliance, profile, costs)
 
     waves: list[Wave] = []

@@ -8,6 +8,7 @@ costs ordered cheapest-last, the optimal chain uses only suffix alliances and
 is found greedily by repeated argmax over terminal drawdowns.  Otherwise the
 welfare at these drawdowns telescopes to 1/2 sum_k m_k d_k, so the best chain
 is a longest path over links with increasing drawdowns, found by a DP.
+``optimal_chains`` builds many chains from one memo and alone picks what it solves ahead.
 """
 
 from __future__ import annotations
@@ -128,20 +129,20 @@ def _check_wellordered(costs: Sequence[CostSpec]) -> None:
         raise ValidationError("cost multipliers must be non-decreasing in agent index")
 
 
-def greedy_wellordered_chain(
-    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
-) -> AllianceChain:
-    """Optimal chain for proportional costs via the iterative argmax recursion.
+def _is_wellordered(costs: Sequence[CostSpec]) -> bool:
+    try:
+        return _check_wellordered(costs) is None
+    except ValidationError:
+        return False
 
-    Starting from the empty continuation, repeatedly select the suffix
-    alliance with the largest link drawdown; each argmax must be unique.
-    """
-    _check_wellordered(costs)
+
+def _greedy_chain(
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache
+) -> AllianceChain:
+    """Pick suffixes by largest link drawdown, from the empty one; each argmax must be unique."""
     n = len(costs)
     links = _Links(costs, bounds, cache)
     suffix = lambda j: tuple(range(j, n))
-    links.cache.prefetch([(suffix(j), costs) for j in range(n)], bounds)
-
     picks: list[int] = []
     upper = n  # consider suffixes starting strictly below this index
     successor: Alliance = ()
@@ -159,9 +160,13 @@ def greedy_wellordered_chain(
         picks.append(pick)
         successor = suffix(pick)
         upper = pick
+    return _build_chain(links, [suffix(j) for j in reversed(picks)], trace=tuple(picks))
 
-    alliances = [suffix(j) for j in reversed(picks)]
-    return _build_chain(links, alliances, trace=tuple(picks))
+
+def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
+    """Optimal chain for proportional costs via the iterative argmax recursion."""
+    _check_wellordered(costs)
+    return optimal_chains([costs], bounds)[0]
 
 
 def enumerate_chains(team: Iterable[int], wellordered: bool = True) -> list[tuple[Alliance, ...]]:
@@ -197,12 +202,7 @@ def brute_force_optimal_chain(
     wellordered: bool | None = None,
 ) -> tuple[AllianceChain, WelfareReport]:
     """Welfare-maximal feasible chain by exhaustive enumeration (oracle)."""
-    if wellordered is None:
-        try:
-            _check_wellordered(costs)
-            wellordered = True
-        except ValidationError:
-            wellordered = False
+    wellordered = _is_wellordered(costs) if wellordered is None else wellordered
     links = _Links(costs, bounds)
     best: tuple[AllianceChain, WelfareReport] | None = None
     for skeleton in enumerate_chains(range(len(costs)), wellordered):
@@ -274,15 +274,22 @@ def _dp_optimal_chain(
     return max(candidates, key=lambda chain: chain_welfare(chain, costs).total)
 
 
-def optimal_chain(
-    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
-) -> AllianceChain:
-    """Planner chain: greedy for proportional ordered costs, the DP otherwise.
+def optimal_chains(
+    cost_lists: Sequence[Sequence[CostSpec]], bounds: ScopeBounds
+) -> list[AllianceChain]:
+    """``optimal_chain`` of each cost list, all from one memo of planner profiles.
 
-    ``cache``, a ``ProfileCache("sp")``, may share solved profiles between
-    chains; by default each chain solves its alliances once.
+    The suffix alliances of every list the greedy recursion takes are solved
+    first, together in batched passes; the DP solves its own alliances.
     """
-    try:
-        return greedy_wellordered_chain(costs, bounds, cache)
-    except ValidationError:
-        return _dp_optimal_chain(costs, bounds, cache)
+    cache = ProfileCache("sp")
+    greedy = [_is_wellordered(costs) for costs in cost_lists]
+    cache.prefetch([(tuple(range(j, len(costs))), costs) for costs, g in zip(cost_lists, greedy)
+                    if g for j in range(len(costs))], bounds)
+    return [(_greedy_chain if g else _dp_optimal_chain)(costs, bounds, cache)
+            for costs, g in zip(cost_lists, greedy)]
+
+
+def optimal_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
+    """Planner chain: greedy for proportional ordered costs, the DP otherwise."""
+    return optimal_chains([costs], bounds)[0]

@@ -574,3 +574,14 @@ def test_team_over_agent_budget_exits_two_quickly(tmp_path):
     assert "budget" in result.stderr
     doc["agents"].pop()
     assert run_cli("validate", write_scenario(tmp_path, doc)).returncode == 0
+
+
+def test_failing_solve_of_a_large_team_prints_a_short_line(tmp_path):
+    # Every member of the sorted 1,000-agent team replies lo, so n * lo = 100
+    # is the fixed point, but the reply gap misses zero there by -1.41e-12.
+    # The error names the alliance by its ends and size, not every member.
+    doc = base_doc(betas=[1.0 + 0.05 * i for i in range(1000)])
+    result = run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "eq")
+    assert result.returncode == 1 and result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1 and len(result.stderr) < 300
+    assert "sub-alliance (0, 1, 2, ..., 999) of 1000 members" in result.stderr

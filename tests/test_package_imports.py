@@ -45,3 +45,15 @@ def test_only_scopes_picks_a_batched_solve():
         if names & batched:
             offenders[path.name] = sorted(names & batched)
     assert offenders == {}
+
+
+def test_only_the_planner_prefetches():
+    # The planner alone decides which alliances a chain search reads, so it
+    # alone asks a ProfileCache to solve them ahead.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "prefetch" for node in ast.walk(tree)):
+            callers.add(path.name)
+    assert callers == {"planner.py"}

@@ -383,3 +383,40 @@ def test_optimum_over_all_nested_chains_uses_suffix_alliances():
         assert chain_welfare(dp, costs).total == chain_welfare(greedy, costs).total
         multi_phase += len(greedy.alliances) > 1
     assert multi_phase >= 30
+
+
+def test_optimal_chains_equal_one_chain_per_list():
+    # One call over greedy lists (sorted proportional teams of each family)
+    # and DP lists (unsorted or mixed teams) builds, from one shared memo,
+    # the chain optimal_chain builds for each list alone; a list whose chain
+    # raises (power costs with p = 3 here) makes the call raise that error.
+    from teamsearch.costs import ScaledPower
+    from teamsearch.planner import optimal_chains
+
+    rng = np.random.default_rng(71)
+    lists = []
+    for k in range(8):
+        n = int(rng.integers(2, 6))
+        mult = np.sort(np.exp(rng.uniform(0.0, 7.0, size=n)))
+        lists.append(exp_team(mult, b=float(rng.uniform(0.5, 2.0))))
+        lists.append([ScaledPower(a=1.0, p=2.0 + k % 2, beta=float(m)) for m in mult])
+        # Powers of two keep a1 / a2 and a0 / a2 exact, so the specs stay proportional.
+        lists.append([AffineQuadratic(a2=2.0**-j, a1=0.01 * 2.0**-j, a0=0.25 * 2.0**-j)
+                      for j in sorted(rng.integers(0, 4, size=n))])
+        lists.append(mixed_unsorted_team(rng, ("exponential", "power", "affine")[k % 3],
+                                         int(rng.integers(3, 7))))
+    singles = [outcome(lambda: optimal_chain(costs, ROOMY)) for costs in lists]
+    solved = [(costs, single) for costs, single in zip(lists, singles)
+              if not isinstance(single, tuple)]
+    chains = optimal_chains([costs for costs, _ in solved], ROOMY)
+    assert len(chains) == len(solved)
+    for (costs, single), chain in zip(solved, chains):
+        assert chain == single  # alliances, drawdowns, profiles, feasibility, trace
+        assert chain_welfare(chain, costs) == chain_welfare(single, costs)
+    greedy = sum(bool(chain.trace) for chain in chains)
+    assert greedy >= 16 and len(chains) - greedy >= 4
+    assert sum(len(chain.alliances) > 1 for chain in chains) >= 4
+    failing = next(i for i, single in enumerate(singles) if isinstance(single, tuple))
+    mixed = [costs for costs, _ in solved[:6]] + [lists[failing]] + [solved[6][0]]
+    assert outcome(lambda: optimal_chains(mixed, ROOMY)) == singles[failing]
+    assert optimal_chains([], ROOMY) == []

@@ -57,6 +57,7 @@ def test_scan_solves_three_equilibria(solved, monkeypatch, tmp_path):
             caches.append(self)
 
     monkeypatch.setattr(cli, "ProfileCache", Recording)
+    monkeypatch.setattr("teamsearch.planner.ProfileCache", Recording)
     doc = json.loads((SCENARIOS / "scan.json").read_text(encoding="utf-8"))
     doc["scan"]["steps"] = 12
     path = tmp_path / "scan.json"
@@ -93,3 +94,25 @@ def test_greedy_chain_solves_its_suffixes_in_batched_passes(monkeypatch, tmp_pat
     passes[0] = 0
     assert run(argv) == out
     assert passes[0] == 40
+
+
+def test_scan_prefetches_once_per_row(monkeypatch, tmp_path):
+    # The planner solves a row's suffix alliances for all its cells in one
+    # prefetch, and builds each cell's chain from them; the CSV is the one
+    # printed when every alliance is solved alone.
+    doc = json.loads((SCENARIOS / "scan.json").read_text(encoding="utf-8"))
+    doc["scan"]["steps"] = 12
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = [0]
+    real = scopes_module.ProfileCache.prefetch
+
+    def counting(self, problems, bounds):
+        calls[0] += 1
+        return real(self, problems, bounds)
+
+    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", counting)
+    out = run(["scan", str(path)])
+    assert calls[0] == 12
+    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", lambda *args: None)
+    assert run(["scan", str(path)]) == out
