@@ -3,10 +3,11 @@
 Scenario files are JSON.  Each section is parsed by one generic builder from
 the dataclass it produces (the cost families, ``ScopeBounds``, ``SimConfig``,
 ``PenaltySpec``, ``ScanSpec``): keys, defaults and value kinds come from the
-dataclass fields, and domain rules from its ``__post_init__``.  Unknown or
-missing keys and wrongly typed values are errors; numbers must be finite,
-ints are accepted for floats, and strings, booleans and null are never
-coerced.  ``validate`` echoes the parsed dataclasses.  All tables are
+dataclass fields, and domain rules from its ``__post_init__``.  Unknown,
+missing or repeated keys and wrongly typed values are errors, which echo
+long values shortened by ``reprlib``; numbers must be finite, ints are
+accepted for floats, and strings, booleans and null are never coerced.
+``validate`` echoes the parsed dataclasses.  All tables are
 comma-separated UTF-8 with a header row and 10 significant digits; agent
 labels in wave strings are 1-based.  Exit codes: 0 success, 1
 runtime/numerical failure, 2 invalid scenario (a team, scan grid or
@@ -23,6 +24,7 @@ import functools
 import io
 import json
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence, get_type_hints
@@ -70,7 +72,7 @@ def _check_keys(obj, allowed, required, where: str) -> None:
         raise ValidationError(f"'{where}' must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
-        raise ValidationError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ValidationError(f"unknown key(s) {reprlib.repr(sorted(unknown))} in {where}")
     missing = [key for key in required if key not in obj]
     if missing:
         raise ValidationError(f"{where}: missing field(s) {missing}")
@@ -93,7 +95,7 @@ def _build(cls, obj, where: str):
     for name, value in obj.items():
         kind, ok, convert = _KINDS[hints[name]]
         if not ok(value):
-            raise ValidationError(f"{where}.{name} must be {kind}, got {value!r}")
+            raise ValidationError(f"{where}.{name} must be {kind}, got {reprlib.repr(value)}")
         kwargs[name] = convert(value)
     try:
         return cls(**kwargs)
@@ -107,7 +109,7 @@ def _spec_from_dict(entry, where: str) -> CostSpec:
     params = dict(entry)
     family = params.pop("family")
     if not isinstance(family, str) or family not in FAMILIES:
-        raise ValidationError(f"{where}: unknown family {family!r}")
+        raise ValidationError(f"{where}: unknown family {reprlib.repr(family)}")
     return _build(FAMILIES[family], params, where)
 
 
@@ -191,10 +193,20 @@ def _check_scan_template(agents: Sequence[CostSpec]) -> None:
         raise ValidationError("scan template agents must all have beta = 1.0")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its (key, value) pairs; a key given twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"duplicate key {reprlib.repr(key)} in scenario")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            document = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValidationError(f"cannot read scenario: {exc}") from exc
     return parse_scenario(document)
@@ -258,8 +270,7 @@ def cmd_solve(config: ScenarioConfig, args: argparse.Namespace) -> int:
     cache = ProfileCache(args.mode)
     profile = cache.profile(team, costs, config.scope_bounds)
     if args.mode == "eq":
-        drawdowns = equilibrium_drawdowns(team, profile, costs)
-        per_agent = {i: drawdowns.per_agent[i] for i in team}
+        per_agent = equilibrium_drawdowns(profile, costs).per_agent
     else:
         shared = planner_drawdown(team, (), costs, config.scope_bounds, cache)
         per_agent = {i: shared for i in team}
@@ -332,12 +343,10 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
     if args.mode == "penalty":
         if config.penalty is None:
             raise ValidationError("simulate --mode penalty needs a 'penalty' section")
-        pconfig = PenaltyConfig(
-            alpha=config.penalty.alpha, costs=tuple(costs), bounds=config.scope_bounds
-        )
-        policy = penalty_policy(pconfig)
-        analytic = expected_penalty_payoffs(pconfig, policy)
-        outcome = simulate_phases(policy.phases, (0, 1), sim)
+        policy = penalty_policy(PenaltyConfig(
+            alpha=config.penalty.alpha, costs=tuple(costs), bounds=config.scope_bounds))
+        analytic = expected_penalty_payoffs(policy)
+        outcome = simulate_phases(policy.phases, sim)
         # A path censored before the first exit has no first-exit maximum.
         first = outcome.wave_M[0][~np.isnan(outcome.wave_M[0])]
         if not first.size:

@@ -25,7 +25,6 @@ TIE_TOL = 1e-12
 class DrawdownSet:
     """Per-agent drawdown sizes for one alliance, with the binding trigger."""
 
-    alliance: Alliance
     per_agent: dict[int, float]
     trigger: float
     first_exiters: Alliance
@@ -45,7 +44,6 @@ class Wave:
 class ExitSchedule:
     """Ordered exit waves partitioning the team, triggers strictly increasing."""
 
-    team: Alliance
     waves: tuple[Wave, ...]
 
     @property
@@ -64,13 +62,9 @@ class ExitSchedule:
             yield wave.alliance, wave.profile, wave.trigger
 
 
-def equilibrium_drawdowns(
-    alliance: Iterable[int], profile: ScopeProfile, costs: Sequence[CostSpec]
-) -> DrawdownSet:
-    """Drawdown sizes d_i = S^2 / (2 c_i(sigma_i)) for a solved alliance."""
-    members = as_alliance(alliance, len(costs))
-    if not members:
-        raise ValueError("alliance must be non-empty")
+def equilibrium_drawdowns(profile: ScopeProfile, costs: Sequence[CostSpec]) -> DrawdownSet:
+    """Drawdown sizes d_i = S^2 / (2 c_i(sigma_i)) for the members of a solved profile."""
+    members = tuple(profile.per_agent)
     total = profile.total
     per_agent: dict[int, float] = {}
     for i in members:
@@ -80,7 +74,7 @@ def equilibrium_drawdowns(
         per_agent[i] = d
     trigger = min(per_agent.values())
     first = tuple(i for i in members if per_agent[i] - trigger <= TIE_TOL * max(1.0, trigger))
-    return DrawdownSet(alliance=members, per_agent=per_agent, trigger=trigger, first_exiters=first)
+    return DrawdownSet(per_agent=per_agent, trigger=trigger, first_exiters=first)
 
 
 def equilibrium_exit_schedule(
@@ -110,7 +104,7 @@ def equilibrium_exit_schedule(
                 f"({alliance[0]}, {alliance[1]}, {alliance[2]}, ..., {alliance[-1]})"
                 f" of {len(alliance)} members")
             raise SolverError(f"scope solve failed for sub-alliance {shown}: {exc}") from exc
-        return profile, equilibrium_drawdowns(alliance, profile, costs)
+        return profile, equilibrium_drawdowns(profile, costs)
 
     waves: list[Wave] = []
     # A remainder that pulls no one in is the next alliance, already solved.
@@ -135,7 +129,7 @@ def equilibrium_exit_schedule(
         waves.append(
             Wave(exiting=as_alliance(exiting), trigger=d_star, alliance=current, profile=profile)
         )
-    return ExitSchedule(team=members, waves=tuple(waves))
+    return ExitSchedule(waves=tuple(waves))
 
 
 def wellordered_exit_order_check(schedule: ExitSchedule, multipliers: Sequence[float]) -> bool:

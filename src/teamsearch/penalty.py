@@ -53,7 +53,6 @@ class PenaltyConfig(PenaltySpec):
 class PenaltyPolicy:
     """Equilibrium play under the late-exit penalty."""
 
-    alpha: float
     leader: int
     follower: int
     team_profile: ScopeProfile
@@ -75,7 +74,7 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
     team_profile = equilibrium_scopes((0, 1), costs, config.bounds)
     total = team_profile.total
     rates = {i: costs[i].cost(team_profile.per_agent[i]) for i in (0, 1)}
-    drawdowns = equilibrium_drawdowns((0, 1), team_profile, costs).per_agent
+    drawdowns = equilibrium_drawdowns(team_profile, costs).per_agent
     leader = min((0, 1), key=drawdowns.__getitem__)  # agent 0 on a tie
     follower = 1 - leader
     trigger = drawdowns[leader]
@@ -99,7 +98,6 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
         phases.append(Phase((follower,), sigma, continuation_drawdown, {follower: rate},
                             exit_scale=config.alpha))
     return PenaltyPolicy(
-        alpha=config.alpha,
         leader=leader,
         follower=follower,
         team_profile=team_profile,
@@ -112,10 +110,8 @@ def penalty_policy(config: PenaltyConfig) -> PenaltyPolicy:
     )
 
 
-def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None = None) -> dict[int, float]:
+def expected_penalty_payoffs(policy: PenaltyPolicy) -> dict[int, float]:
     """Closed-form expected payoffs for leader and follower, read from the policy's phases."""
-    if policy is None:
-        policy = penalty_policy(config)
     team = policy.phases[0]
     d = team.trigger
     team_duration = phase_stats(0.0, d, team.scope)[1]
@@ -143,4 +139,4 @@ def expected_penalty_payoffs(config: PenaltyConfig, policy: PenaltyPolicy | None
 
 def simulate_penalty(config: PenaltyConfig, sim: SimConfig) -> SimOutcome:
     """Monte Carlo run of the penalty equilibrium policy."""
-    return simulate_phases(penalty_policy(config).phases, (0, 1), sim)
+    return simulate_phases(penalty_policy(config).phases, sim)

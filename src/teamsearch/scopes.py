@@ -89,17 +89,13 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
     """Sorted, de-duplicated zeros of ``fn`` in each row of ``grid``, and ``fn`` on ``grid``.
 
     ``grid`` holds one grid per row, and ``fn(points, rows)`` evaluates the
-    function of row ``rows[j]`` on ``points[j]``.  A 1-D ``grid`` is one row
-    of a function of the points alone; its zeros and values are returned.
+    function of row ``rows[j]`` on ``points[j]``.
 
     Grid points with |fn| <= ZERO_TOL are exact zeros.  All other sign changes
     of all rows are refined together by k-section: each round evaluates ``fn``
     once on SCAN_POINTS interior points of every open bracket and keeps the
     first sub-interval with a sign change, until its width is within ROOT_TOL.
     """
-    if grid.ndim == 1:
-        roots, values = _roots(lambda x, rows: fn(x.ravel()).reshape(x.shape), grid[None])
-        return roots[0], values[0]
     values = fn(grid, np.arange(len(grid)))
     zero = np.abs(values) <= ZERO_TOL
     found_rows, found = [np.nonzero(zero)[0]], [grid[zero]]

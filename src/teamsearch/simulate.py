@@ -320,8 +320,9 @@ def _next_block(parts, workers) -> tuple[np.ndarray, ...]:
                                           f"died with exit code {p.exitcode}") from None
 
 
-def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig) -> SimOutcome:
-    """Simulate ``config.n_paths`` paths through ``phases``; payoffs are reported for ``agents``."""
+def simulate_phases(phases: Sequence[Phase], config: SimConfig) -> SimOutcome:
+    """Simulate ``config.n_paths`` paths through ``phases``; payoffs for ``phases[0].alliance``."""
+    agents = phases[0].alliance
     n = config.n_paths
     n_waves = len(phases)
     dt = config.dt
@@ -424,8 +425,7 @@ def simulate_phases(phases: Sequence[Phase], agents: Alliance, config: SimConfig
 
 def simulate_schedule(plan, costs: Sequence[CostSpec], config: SimConfig) -> SimOutcome:
     """Simulate any phased plan (equilibrium schedule or planner chain)."""
-    phases = plan_phases(plan, costs)
-    return simulate_phases(phases, phases[0].alliance, config)
+    return simulate_phases(plan_phases(plan, costs), config)
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,7 @@ def stopped_max_distribution_test(
     passing ``null_mean`` overrides the null (e.g. to check the test's power).
     """
     phases = [Phase(alliance=(0,), scope=scope, trigger=drawdown, rates={0: 0.0})]
-    outcome = simulate_phases(phases, (0,), config)
+    outcome = simulate_phases(phases, config)
     samples = outcome.wave_M[0]
     samples = samples[~np.isnan(samples)]
     mean = drawdown if null_mean is None else null_mean

@@ -550,7 +550,7 @@ def test_penalty_frequency_is_a_share_of_paths_whose_first_exit_fired(tmp_path):
 
     costs = (ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=20.0))
     policy = penalty_policy(PenaltyConfig(alpha=0.5, costs=costs, bounds=ScopeBounds(0.1, 10.0)))
-    outcome = simulate_phases(policy.phases, (0, 1), SimConfig(**doc["sim"]))
+    outcome = simulate_phases(policy.phases, SimConfig(**doc["sim"]))
     first = outcome.wave_M[0][~np.isnan(outcome.wave_M[0])]
     assert 0 < first.size < outcome.n_paths  # some paths stopped before the first exit
     share = float((first < policy.threshold).mean())
@@ -585,3 +585,72 @@ def test_failing_solve_of_a_large_team_prints_a_short_line(tmp_path):
     assert result.returncode == 1 and result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1 and len(result.stderr) < 300
     assert "sub-alliance (0, 1, 2, ..., 999) of 1000 members" in result.stderr
+
+
+def main_error(capsys, doc_or_text, tmp_path) -> str:
+    """The one ``error:`` line that ``cli.main`` prints for an invalid scenario."""
+    from teamsearch import cli
+
+    path = tmp_path / "scenario.json"
+    text = doc_or_text if isinstance(doc_or_text, str) else json.dumps(doc_or_text)
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return err
+
+
+def _edited(edit, betas=(1.0, 1.2, 2.0)) -> dict:
+    doc = base_doc(betas)
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_edited(lambda d: d["scope_bounds"].update(hi=10**400)),
+         "scope_bounds.hi must be a finite number"),
+        (_edited(lambda d: d.update(sim=5)), "'sim' must be an object"),
+        (_edited(lambda d: d["agents"].append(5)), "each agent needs a 'family' field"),
+        (_edited(lambda d: d["agents"][0].pop("family")), "each agent needs a 'family' field"),
+        (_edited(lambda d: d.update(scan={"beta2_range": [5.0, 1.0]})), "beta ranges must be"),
+        (_edited(lambda d: d.update(scan={"steps": 0})), "steps must be a positive integer"),
+        (_edited(lambda d: d.update(agents=[])), "'agents' must be a non-empty list"),
+        (_edited(lambda d: d.update(agents={})), "'agents' must be a non-empty list"),
+        (_edited(lambda d: d.update(scan={}), betas=(1.0, 1.0)), "exactly 3 scaled_exponential"),
+        (_edited(lambda d: (d["agents"][2].update(b=2.0), d.update(scan={}))),
+         "share the exponential rate b"),
+    ],
+    ids=["int_too_large_for_a_float", "section_not_an_object", "agent_not_an_object",
+         "agent_without_family", "scan_lo_not_below_hi", "scan_steps_below_one", "agents_empty",
+         "agents_not_a_list", "scan_two_agents", "scan_agents_differ_in_b"],
+)
+def test_invalid_scenario_branches_exit_two_with_one_line(capsys, tmp_path, doc, message):
+    assert message in main_error(capsys, doc, tmp_path)
+
+
+@pytest.mark.parametrize("key", ["agents", "b"])
+def test_duplicate_scenario_key_exits_two(capsys, tmp_path, key):
+    agent = '{"family": "scaled_exponential", "b": 1.0, "beta": 1.0%s}' % (
+        ', "b": 2.0' if key == "b" else "")
+    agents = '"agents": [%s]' % agent
+    text = '{%s, %s"scope_bounds": {"lo": 0.1, "hi": 10.0}}' % (
+        agents, agents + ", " if key == "agents" else "")
+    assert main_error(capsys, text, tmp_path) == f"error: duplicate key '{key}' in scenario\n"
+
+
+def test_validation_errors_echo_long_values_shortened(capsys, tmp_path):
+    # A short value prints in full; a long one is cut by reprlib to a short line.
+    doc = base_doc(betas=(1.0,))
+    doc["scope_bounds"]["lo"] = "0.1"
+    assert main_error(capsys, doc, tmp_path) == (
+        "error: scope_bounds.lo must be a finite number, got '0.1'\n")
+    long_b = _edited(lambda d: d["agents"][0].update(b="x" * 200_000), betas=(1.0,))
+    long_family = _edited(lambda d: d["agents"][0].update(family="f" * 100_000), betas=(1.0,))
+    many_keys = _edited(lambda d: d["scope_bounds"].update({f"k{i}": 0 for i in range(20_000)}))
+    for doc, start in ((long_b, "error: agents[0].b must be a finite number, got 'xxx"),
+                       (long_family, "error: agents[0]: unknown family 'fff"),
+                       (many_keys, "error: unknown key(s) ['k0', 'k1', ")):
+        err = main_error(capsys, doc, tmp_path)
+        assert err.startswith(start) and "..." in err and len(err) < 200

@@ -29,7 +29,7 @@ def exp_team(betas, b=1.0):
 def test_single_agent_drawdown():
     costs = exp_team([1.0])
     profile = equilibrium_scopes([0], costs, WIDE)
-    dset = equilibrium_drawdowns([0], profile, costs)
+    dset = equilibrium_drawdowns(profile, costs)
     # d = S^2/(2c) = 4/(2 e^2) = 0.2706705664732254
     assert dset.per_agent[0] == pytest.approx(2.0 * math.exp(-2.0), rel=1e-12)
     assert dset.trigger == dset.per_agent[0]
@@ -39,7 +39,7 @@ def test_single_agent_drawdown():
 def test_three_agent_drawdowns_and_first_exiter():
     costs = exp_team([1.0, 1.2, 2.0])
     profile = equilibrium_scopes([0, 1, 2], costs, WIDE)
-    dset = equilibrium_drawdowns([0, 1, 2], profile, costs)
+    dset = equilibrium_drawdowns(profile, costs)
     # d_i = 2 beta_i e^{-2/3}
     base = 2.0 * math.exp(-2.0 / 3.0)
     assert dset.per_agent[0] == pytest.approx(base, rel=1e-12)
@@ -52,7 +52,7 @@ def test_three_agent_drawdowns_and_first_exiter():
 def test_symmetric_agents_all_tie():
     costs = exp_team([1.5, 1.5, 1.5])
     profile = equilibrium_scopes([0, 1, 2], costs, WIDE)
-    dset = equilibrium_drawdowns([0, 1, 2], profile, costs)
+    dset = equilibrium_drawdowns(profile, costs)
     assert dset.first_exiters == (0, 1, 2)
 
 
@@ -60,7 +60,7 @@ def test_smooth_pasting_optimum():
     # The drawdown maximizes d - c*d^2/S^2; central difference near zero.
     costs = exp_team([1.0, 1.2, 2.0])
     profile = equilibrium_scopes([0, 1, 2], costs, WIDE)
-    dset = equilibrium_drawdowns([0, 1, 2], profile, costs)
+    dset = equilibrium_drawdowns(profile, costs)
     S = profile.total
     h = 1e-6
     for i in (0, 1, 2):
@@ -129,7 +129,7 @@ def test_wave_triggers_match_suffix_envelope():
         for j in range(n):
             suffix = tuple(range(j, n))
             profile = equilibrium_scopes(suffix, costs, WIDE)
-            dset = equilibrium_drawdowns(suffix, profile, costs)
+            dset = equilibrium_drawdowns(profile, costs)
             envelope = max(envelope, dset.per_agent[j])
             trigger_j = schedule.waves[schedule.wave_of(j)].trigger
             assert trigger_j == pytest.approx(envelope, rel=1e-9)
@@ -147,7 +147,6 @@ def test_exit_order_check():
     prof = ScopeProfile(per_agent={0: 1.0, 1: 1.0, 2: 1.0}, total=3.0,
                         interior=True, degenerate=False, residual=0.0)
     bad = ExitSchedule(
-        team=(0, 1, 2),
         waves=(
             Wave(exiting=(2,), trigger=1.0, alliance=(0, 1, 2), profile=prof),
             Wave(exiting=(0, 1), trigger=2.0, alliance=(0, 1), profile=prof),
@@ -173,7 +172,7 @@ def test_drawdowns_reject_bad_profile():
     bad = ScopeProfile(per_agent={0: 2.0}, total=math.inf, interior=False,
                        degenerate=False, residual=0.0)
     with pytest.raises(SolverError):
-        equilibrium_drawdowns([0], bad, costs)
+        equilibrium_drawdowns(bad, costs)
 
 
 def test_cascade_solves_each_alliance_once(monkeypatch):
@@ -204,9 +203,9 @@ def test_cascade_computes_each_alliances_drawdowns_once(monkeypatch):
     computed = []
     real = equilibrium_module.equilibrium_drawdowns
 
-    def counting(alliance, profile, costs):
-        computed.append(tuple(alliance))
-        return real(alliance, profile, costs)
+    def counting(profile, costs):
+        computed.append(tuple(profile.per_agent))
+        return real(profile, costs)
 
     monkeypatch.setattr(equilibrium_module, "equilibrium_drawdowns", counting)
     for betas in ([1.0, 1.2, 8.0], [1.0, 1.2, 2.0], [1.0, 1.5, 3.0, 9.0]):

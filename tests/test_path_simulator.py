@@ -211,9 +211,9 @@ def test_non_finite_step_and_horizon_budget_rejected_before_run():
     phases = [Phase(alliance=(0,), scope=1.0, trigger=1.0, rates={0: 0.0})]
     # 50 expected run lengths of 1.0 at this dt are far over the budget.
     with pytest.raises(ValidationError, match="budget"):
-        simulate_phases(phases, (0,), SimConfig(dt=50.0 / MAX_STEPS / 2, n_paths=1))
+        simulate_phases(phases, SimConfig(dt=50.0 / MAX_STEPS / 2, n_paths=1))
     with pytest.raises(ValidationError, match="budget"):
-        simulate_phases(phases, (0,), SimConfig(dt=1e-300, t_max=1e10, n_paths=1))
+        simulate_phases(phases, SimConfig(dt=1e-300, t_max=1e10, n_paths=1))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ REFERENCE_CASES = {
 
 def assert_matches_reference(phases, config):
     agents = phases[0].alliance
-    out = simulate_phases(phases, agents, config)
+    out = simulate_phases(phases, config)
     ref = reference_simulate_phases(phases, agents, config)
     assert out.equals(ref)
     assert out.warnings == ref.warnings
@@ -442,7 +442,7 @@ def test_tile_size_leaves_outcome_unchanged(monkeypatch, tile):
     phases, config = REFERENCE_CASES["collapse_and_exit_scale"]
     expected = reference_simulate_phases(phases, phases[0].alliance, config)
     monkeypatch.setattr(simulate, "TILE", tile)
-    out = simulate_phases(phases, phases[0].alliance, config)
+    out = simulate_phases(phases, config)
     assert out.equals(expected)
     assert out.warnings == expected.warnings
 
@@ -526,7 +526,7 @@ def test_blocked_engine_matches_step_loop_reference(monkeypatch, case, pooled, b
     sizes = pool_sizes(monkeypatch)
     monkeypatch.setattr(simulate, "BLOCK", block)
     monkeypatch.setattr(simulate, "POOL_WORK", 0 if pooled else math.inf)
-    out = simulate_phases(phases, phases[0].alliance, config)
+    out = simulate_phases(phases, config)
     expected = reference_outcome(case)
     assert out.equals(expected)
     assert out.warnings == expected.warnings
@@ -560,7 +560,7 @@ def test_outcome_budget_rejected_before_run(tmp_path):
     phases = [Phase(alliance=(0,), scope=1.0, trigger=1.0, rates={0: 0.0})]
     n = simulate.MAX_OUTCOME_BYTES // 8  # past the budget however few arrays are counted
     with pytest.raises(ValidationError, match="budget"):
-        simulate_phases(phases, (0,), SimConfig(dt=1e-3, n_paths=n))
+        simulate_phases(phases, SimConfig(dt=1e-3, n_paths=n))
     scenario = tmp_path / "huge.json"
     scenario.write_text(json.dumps({
         "agents": [{"family": "scaled_exponential", "b": 1.0}],
@@ -590,7 +590,7 @@ def test_single_agent_engine_matches_exact_moments():
     d, S, lam = 1.0, 2.0, 2.0
     phases = [Phase(alliance=(0,), scope=S, trigger=d, rates={0: 0.0})]
     config = SimConfig(dt=1e-4, n_paths=10_000, seed=7, bridge_correction=True)
-    out = simulate_phases(phases, (0,), config)
+    out = simulate_phases(phases, config)
     assert out.censored_count == 0
     m, tau = out.wave_M[0], out.wave_tau[0]
     n = m.size
@@ -615,7 +615,7 @@ def test_every_reference_case_matches_step_loop_at_every_tile_fill(monkeypatch, 
     # the narrow last chunk of censored_mid_chunk all step in workspace views.
     phases, config = REFERENCE_CASES[case]
     monkeypatch.setattr(simulate, "TILE", tile)
-    out = simulate_phases(phases, phases[0].alliance, config)
+    out = simulate_phases(phases, config)
     expected = reference_outcome(case)
     assert out.equals(expected)
     assert out.warnings == expected.warnings
@@ -639,6 +639,41 @@ def test_killed_worker_raises_instead_of_hanging(monkeypatch):
     monkeypatch.setattr(simulate, "POOL_WORK", 0)
     t0 = time.monotonic()
     with pytest.raises(SimulationError, match=r"worker \(pid \d+\) died with exit code -9"):
-        simulate_phases(phases, phases[0].alliance, config)
+        simulate_phases(phases, config)
     assert time.monotonic() - t0 < 10.0
     assert multiprocessing.active_children() == []
+
+
+def test_a_plan_or_profile_alone_fixes_who_is_reported():
+    # A run reports every agent of its first phase's alliance, a drawdown set
+    # covers the members of its profile, and no result keeps a copy of either.
+    import dataclasses
+    import inspect
+
+    from teamsearch.equilibrium import DrawdownSet, ExitSchedule, equilibrium_drawdowns
+    from teamsearch.penalty import PenaltyPolicy, expected_penalty_payoffs
+    from teamsearch.scopes import equilibrium_scopes
+
+    assert list(inspect.signature(simulate_phases).parameters) == ["phases", "config"]
+    assert list(inspect.signature(expected_penalty_payoffs).parameters) == ["policy"]
+    assert list(inspect.signature(equilibrium_drawdowns).parameters) == ["profile", "costs"]
+    for cls, name in ((ExitSchedule, "team"), (DrawdownSet, "alliance"), (PenaltyPolicy, "alpha")):
+        assert name not in {f.name for f in dataclasses.fields(cls)}
+
+    phases = [Phase((1, 3), 1.0, 0.2, {1: 0.3, 3: 0.4}), Phase((3,), 0.6, 0.5, {3: 0.5})]
+    out = simulate_phases(phases, SimConfig(dt=1e-3, n_paths=20, seed=1))
+    assert out.agents == (1, 3) and out.payoffs.shape == (2, 20)
+
+    costs = [ScaledExponential(b=1.0, beta=beta) for beta in (1.0, 1.2, 1.5, 2.0)]
+    profile = equilibrium_scopes((1, 3), costs, WIDE)
+    assert tuple(equilibrium_drawdowns(profile, costs).per_agent) == (1, 3)
+
+
+def test_a_wave_no_path_reached_has_no_stats():
+    # The horizon ends long before any gap can reach the second trigger.
+    phases = nested_phases([0.1, 5.0], [1.0, 1.0])
+    out = simulate_phases(phases, SimConfig(dt=1e-3, n_paths=50, seed=2, t_max=0.05))
+    assert out.wave_stats(0)[2] > 0
+    tau, m, count = out.wave_stats(1)
+    assert math.isnan(tau) and math.isnan(m) and count == 0
+    assert all(map(math.isnan, out.wave_se(1)))

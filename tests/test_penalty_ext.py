@@ -72,7 +72,7 @@ def test_threshold_monotone_and_regime_boundary():
 def test_analytic_payoffs_against_quadrature():
     config = PenaltyConfig(alpha=0.5, costs=PAIR, bounds=WIDE)
     policy = penalty_policy(config)
-    values = expected_penalty_payoffs(config, policy)
+    values = expected_penalty_payoffs(policy)
     # leader: 2/e - e * (2/e)^2 / 4 = 1/e exactly
     assert values[0] == pytest.approx(1.0 / math.e, rel=1e-12)
     assert values[1] == pytest.approx(0.8470005670710576, rel=1e-9)
@@ -101,7 +101,7 @@ def test_joint_regime_and_symmetric_pair():
     config = PenaltyConfig(alpha=0.1, costs=PAIR, bounds=WIDE)  # below e/20
     policy = penalty_policy(config)
     assert not policy.continues
-    values = expected_penalty_payoffs(config, policy)
+    values = expected_penalty_payoffs(policy)
     team_rate = PAIR[1].cost(policy.team_profile.per_agent[1])
     joint = policy.trigger - team_rate * policy.trigger**2 / policy.team_profile.total**2
     assert values[1] == pytest.approx(joint, rel=1e-12)
@@ -133,7 +133,7 @@ def test_alpha_one_bit_matches_unpenalized_schedule():
 def test_mc_continuation_frequency_and_payoffs():
     config = PenaltyConfig(alpha=0.5, costs=PAIR, bounds=WIDE)
     policy = penalty_policy(config)
-    values = expected_penalty_payoffs(config, policy)
+    values = expected_penalty_payoffs(policy)
     out = simulate_penalty(config, SimConfig(dt=5e-4, n_paths=10_000, seed=1, bridge_correction=True))
     assert out.censored_count == 0
 
@@ -174,7 +174,7 @@ def test_policy_phases_are_the_simulated_plan(alpha):
         assert solo.trigger == policy.continuation_drawdown and solo.exit_scale == alpha
         assert solo.rates == {policy.follower: PAIR[policy.follower].cost(sigma)}
     sim = SimConfig(dt=1e-3, n_paths=200, seed=3)
-    assert simulate_penalty(config, sim).equals(simulate_phases(policy.phases, (0, 1), sim))
+    assert simulate_penalty(config, sim).equals(simulate_phases(policy.phases, sim))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
@@ -190,9 +190,10 @@ def test_expected_payoffs_read_rates_from_the_phases(alpha):
     config = PenaltyConfig(alpha=alpha, costs=costs, bounds=WIDE)
     policy = penalty_policy(config)
     calls[0] = 0
-    values = expected_penalty_payoffs(config, policy)
+    values = expected_penalty_payoffs(policy)
     assert calls[0] == 0
-    assert values == expected_penalty_payoffs(PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE))
+    assert values == expected_penalty_payoffs(
+        penalty_policy(PenaltyConfig(alpha=alpha, costs=PAIR, bounds=WIDE)))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, math.e / 20.0 - 1e-3])

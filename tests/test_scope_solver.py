@@ -289,7 +289,7 @@ def _bisection_roots(fn, grid):
 def test_root_primitive_matches_scalar_bisection(fn, grid):
     from teamsearch.scopes import _roots
 
-    roots, values = _roots(fn, grid)
+    (roots,), (values,) = _roots(lambda x, rows: fn(x), grid[None])
     np.testing.assert_array_equal(values, fn(grid))
     expected = _bisection_roots(fn, grid)
     assert len(roots) == len(expected)
