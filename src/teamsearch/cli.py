@@ -31,11 +31,12 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .costs import FAMILIES, CostSpec, ScaledExponential, ScopeBounds, validate_cost
+from .costs import FAMILIES, CostSpec, ScopeBounds, validate_cost
 from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
 from .errors import SimulationError, TeamSearchError, ValidationError
 from .penalty import PenaltyConfig, PenaltySpec, expected_penalty_payoffs, penalty_policy
-from .planner import optimal_chain, optimal_chains, planner_drawdown
+from .planner import optimal_chain, planner_drawdown
+from .scan import ScanSpec, check_template, scan_cells
 from .scopes import ProfileCache
 from .simulate import SimConfig, SimOutcome, simulate_phases, simulate_schedule
 from .welfare import chain_exits, chain_welfare
@@ -113,33 +114,6 @@ def _spec_from_dict(entry, where: str) -> CostSpec:
     return _build(FAMILIES[family], params, where)
 
 
-# Largest scan grid, in cells (steps**2), a scenario may ask for; like
-# simulate.MAX_STEPS it is checked before any work.  The shipped scan has 96**2.
-MAX_SCAN_CELLS = 10**6
-
-
-@dataclass(frozen=True)
-class ScanSpec:
-    beta2_range: tuple[float, float] = (0.0, 24.0)
-    beta3_range: tuple[float, float] = (0.0, 24.0)
-    steps: int = 96
-
-    def __post_init__(self) -> None:
-        for lo, hi in (self.beta2_range, self.beta3_range):
-            if not 0.0 <= lo < hi < math.inf:
-                raise ValueError("beta ranges must be finite with 0 <= lo < hi")
-        if self.steps < 1:
-            raise ValueError("steps must be a positive integer")
-        if self.steps**2 > MAX_SCAN_CELLS:
-            raise ValueError(
-                f"steps={self.steps} gives {self.steps**2} cells, over the budget of "
-                f"{MAX_SCAN_CELLS}"
-            )
-        for lo, hi in (self.beta2_range, self.beta3_range):
-            if not math.isfinite(self.steps * (hi - lo)):  # a grid value's numerator
-                raise ValueError(f"steps * (hi - lo) overflows for the beta range [{lo}, {hi}]")
-
-
 # Largest team a scenario may list, checked before any agent is built.
 # `schedule` on a sorted 1,000-agent exponential team (bounds [0.001, 10])
 # took 42 s in mode eq and 27 s in mode sp, with peak RSS up to 152 MB, on a
@@ -180,17 +154,8 @@ def parse_scenario(document) -> ScenarioConfig:
     sections = {key: _build(cls, document[key], key)
                 for key, cls in _SECTIONS.items() if key in document}
     if "scan" in sections:
-        _check_scan_template(agents)
+        check_template(agents)
     return ScenarioConfig(agents, bounds, **sections)
-
-
-def _check_scan_template(agents: Sequence[CostSpec]) -> None:
-    if len(agents) != 3 or not all(isinstance(a, ScaledExponential) for a in agents):
-        raise ValidationError("scan requires exactly 3 scaled_exponential agents")
-    if len({a.b for a in agents}) != 1:
-        raise ValidationError("scan agents must share the exponential rate b")
-    if any(a.beta != 1.0 for a in agents):
-        raise ValidationError("scan template agents must all have beta = 1.0")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -383,44 +348,14 @@ def cmd_simulate(config: ScenarioConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_grid(spec: ScanSpec) -> tuple[np.ndarray, np.ndarray]:
-    lo2, hi2 = spec.beta2_range
-    lo3, hi3 = spec.beta3_range
-    idx = np.arange(1, spec.steps + 1, dtype=float)
-    return lo2 + idx * (hi2 - lo2) / spec.steps, lo3 + idx * (hi3 - lo3) / spec.steps
-
-
 def cmd_scan(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    scan = config.scan or ScanSpec()
-    _check_scan_template(config.agents)
-    rate = config.agents[0].b
-    bounds = config.scope_bounds
-    beta2s, beta3s = _scan_grid(scan)
+    spec = config.scan or ScanSpec()
     rows = [["beta2", "beta3", "equilibrium", "planner"]]
-    # An equilibrium profile depends on the costs only through their reply
-    # keys (all ("exp", b) here) and which agents share a spec, so one memo
-    # keyed by them, filled by the cascade as it goes, serves the whole scan.
-    # Planner profiles depend on every multiplier: a row's chains share one memo.
-    eq_cache = ProfileCache("eq")
-    for b3 in beta3s:
-        cells = {
-            b2: [ScaledExponential(b=rate), ScaledExponential(b=rate, beta=b2),
-                 ScaledExponential(b=rate, beta=b3)]
-            for b2 in beta2s
-            if b3 > b2 > 1.0
-        }
-        chains = dict(zip(cells, optimal_chains(list(cells.values()), bounds)))
-        for b2 in beta2s:
-            if b2 not in cells:
-                rows.append([_fmt(b2), _fmt(b3), "", ""])
-                continue
-            schedule = equilibrium_exit_schedule(range(3), cells[b2], bounds, eq_cache)
-            eq_label = _partition_label([w.exiting for w in schedule.waves])
-            sp_label = _partition_label(chain_exits(chains[b2].alliances))
-            rows.append([_fmt(b2), _fmt(b3), eq_label, sp_label])
+    for b2, b3, waves, exits in scan_cells(config.agents, config.scope_bounds, spec):
+        rows.append([_fmt(b2), _fmt(b3), _partition_label(waves), _partition_label(exits)])
     _emit(rows, [], args.out)
     if args.svg:
-        _render_scan_svg(rows[1:], scan.steps, args.svg)
+        _render_scan_svg(rows[1:], spec.steps, args.svg)
     return 0
 
 

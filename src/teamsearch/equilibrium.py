@@ -77,26 +77,17 @@ def equilibrium_drawdowns(profile: ScopeProfile, costs: Sequence[CostSpec]) -> D
     return DrawdownSet(per_agent=per_agent, trigger=trigger, first_exiters=first)
 
 
-def equilibrium_exit_schedule(
-    team: Iterable[int],
-    costs: Sequence[CostSpec],
-    bounds: ScopeBounds,
-    cache: ProfileCache | None = None,
-) -> ExitSchedule:
-    """Deterministic exit-wave schedule for a team via the cascade recursion.
+def exit_schedules(
+    problems: Iterable[tuple[Iterable[int], Sequence[CostSpec]]], bounds: ScopeBounds
+) -> Iterator[ExitSchedule]:
+    """Deterministic exit-wave schedule of each (team, costs) problem, via the cascade.
 
-    Each wave starts from the binding drawdown of the current alliance and
-    grows as long as some remaining agent's recomputed drawdown sits at or
-    below that same trigger (she would have to stop immediately as well).
-    ``cache``, a ``ProfileCache("eq")``, may share solved profiles between
-    schedules; by default each schedule solves its alliances once.
+    All schedules share one memo of equilibrium profiles, keyed by reply
+    pattern, and each is built, and its problem read, only when asked for.
     """
-    members = as_alliance(team, len(costs))
-    if not members:
-        raise ValueError("team must be non-empty")
-    cache = cache or ProfileCache("eq")
+    cache = ProfileCache("eq")
 
-    def drawdowns(alliance: Alliance) -> tuple[ScopeProfile, DrawdownSet]:
+    def drawdowns(alliance: Alliance) -> tuple[ScopeProfile, DrawdownSet]:  # the loop's costs
         try:
             profile = cache.profile(alliance, costs, bounds)
         except SolverError as exc:
@@ -106,30 +97,40 @@ def equilibrium_exit_schedule(
             raise SolverError(f"scope solve failed for sub-alliance {shown}: {exc}") from exc
         return profile, equilibrium_drawdowns(profile, costs)
 
-    waves: list[Wave] = []
-    # A remainder that pulls no one in is the next alliance, already solved.
-    rest, settled = members, drawdowns(members)
-    while rest:
-        current, (profile, dset) = rest, settled
-        d_star = dset.trigger
-        exiting = set(dset.first_exiters)
-        rest = tuple(i for i in current if i not in exiting)
-        tie = TIE_TOL * max(1.0, d_star)
+    for team, costs in problems:
+        members = as_alliance(team, len(costs))
+        if not members:
+            raise ValueError("team must be non-empty")
+        waves: list[Wave] = []
+        # A remainder that pulls no one in is the next alliance, already solved.
+        rest, settled = members, drawdowns(members)
         while rest:
-            settled = drawdowns(rest)
-            pulled = {j for j in rest if settled[1].per_agent[j] - d_star <= tie}
-            if not pulled:
-                break
-            exiting |= pulled
+            current, (profile, dset) = rest, settled
+            d_star = dset.trigger
+            exiting = set(dset.first_exiters)
             rest = tuple(i for i in current if i not in exiting)
-        if waves and d_star <= waves[-1].trigger:
-            raise SolverError(
-                f"wave triggers failed to increase: {d_star} after {waves[-1].trigger}"
-            )
-        waves.append(
-            Wave(exiting=as_alliance(exiting), trigger=d_star, alliance=current, profile=profile)
-        )
-    return ExitSchedule(waves=tuple(waves))
+            tie = TIE_TOL * max(1.0, d_star)
+            while rest:
+                settled = drawdowns(rest)
+                pulled = {j for j in rest if settled[1].per_agent[j] - d_star <= tie}
+                if not pulled:
+                    break
+                exiting |= pulled
+                rest = tuple(i for i in current if i not in exiting)
+            if waves and d_star <= waves[-1].trigger:
+                raise SolverError(
+                    f"wave triggers failed to increase: {d_star} after {waves[-1].trigger}"
+                )
+            waves.append(Wave(exiting=as_alliance(exiting), trigger=d_star, alliance=current,
+                              profile=profile))
+        yield ExitSchedule(waves=tuple(waves))
+
+
+def equilibrium_exit_schedule(
+    team: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+) -> ExitSchedule:
+    """Deterministic exit-wave schedule for a team; see ``exit_schedules``."""
+    return next(exit_schedules([(team, costs)], bounds))
 
 
 def wellordered_exit_order_check(schedule: ExitSchedule, multipliers: Sequence[float]) -> bool:

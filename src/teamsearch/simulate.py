@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -336,8 +337,10 @@ def simulate_phases(phases: Sequence[Phase], config: SimConfig) -> SimOutcome:
     # step, max, tau, duration; per agent flow cost, payoff.
     outcome_bytes = 8 * n * (4 + 4 * n_waves + 2 * len(agents))
     if outcome_bytes > MAX_OUTCOME_BYTES:
+        from fractions import Fraction  # exact, where a float quotient of a huge count overflows
+        mib = round(Fraction(outcome_bytes, 2**20))  # half to even, as '.0f' rounds
         raise ValidationError(
-            f"n_paths={n} needs {outcome_bytes / 2**20:.0f} MiB of outcome arrays, "
+            f"n_paths={reprlib.repr(n)} needs {reprlib.repr(mib)} MiB of outcome arrays, "
             f"over the budget of {MAX_OUTCOME_BYTES // 2**20} MiB"
         )
     max_steps = max(1, int(math.ceil(t_max / dt)))

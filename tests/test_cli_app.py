@@ -654,3 +654,15 @@ def test_validation_errors_echo_long_values_shortened(capsys, tmp_path):
                        (many_keys, "error: unknown key(s) ['k0', 'k1', ")):
         err = main_error(capsys, doc, tmp_path)
         assert err.startswith(start) and "..." in err and len(err) < 200
+
+
+def test_scan_budget_error_shortens_a_huge_step_count(capsys, tmp_path):
+    # A step count over the cell budget is echoed by reprlib: in full when
+    # short, cut to a short line when it has thousands of digits.
+    doc = dict(base_doc(betas=(1.0, 1.0, 1.0)), scan={"steps": 1001})
+    assert main_error(capsys, doc, tmp_path) == (
+        "error: scan: steps=1001 gives 1002001 cells, over the budget of 1000000\n")
+    doc["scan"]["steps"] = 10**2000
+    err = main_error(capsys, doc, tmp_path)
+    assert err.startswith("error: scan: steps=1000") and "budget" in err
+    assert "..." in err and len(err.encode()) < 200

@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from teamsearch.costs import AffineQuadratic, ScaledExponential, ScopeBounds
+from teamsearch.costs import AffineQuadratic, ScaledExponential, ScaledPower, ScopeBounds
 from teamsearch.equilibrium import (
     DrawdownSet,
     ExitSchedule,
     Wave,
     equilibrium_drawdowns,
     equilibrium_exit_schedule,
+    exit_schedules,
     wellordered_exit_order_check,
 )
 from teamsearch.errors import SolverError
@@ -214,3 +215,72 @@ def test_cascade_computes_each_alliances_drawdowns_once(monkeypatch):
         assert len(computed) == len(set(computed))
         assert set(computed) >= {wave.alliance for wave in schedule.waves}
     assert len(computed) == 4  # the four-agent team: one call per alliance it solves
+
+
+def mixed_teams(seed: int, count: int) -> list[list]:
+    """``count`` seeded cost lists of 1 to 5 agents drawn from all three families."""
+    rng = np.random.default_rng(seed)
+    draw = lambda lo, hi: float(rng.uniform(lo, hi))
+    families = (
+        lambda: ScaledExponential(b=draw(0.2, 2.0), beta=math.exp(draw(0.0, 3.0))),
+        lambda: ScaledPower(a=draw(0.5, 2.0), p=float(rng.choice((2.0, 2.5, 3.0, 4.0))),
+                            beta=math.exp(draw(0.0, 3.0))),
+        lambda: AffineQuadratic(a2=draw(0.5, 2.0), a1=draw(0.0, 1.0), a0=draw(0.0, 1.0)),
+    )
+    return [[families[int(rng.integers(3))]() for _ in range(int(rng.integers(1, 6)))]
+            for _ in range(count)]
+
+
+def test_exit_schedules_match_each_schedule_alone():
+    # Full teams and sub-teams of all three families in one sequence, whose
+    # shared memo must not change a schedule; a problem that fails to solve
+    # raises its own error at its own position, and a new sequence takes the rest.
+    problems = [(team, costs) for costs in mixed_teams(5, 40)
+                for team in (range(len(costs)), range(0, len(costs), 2), [len(costs) - 1])]
+    assert {type(c) for _, costs in problems for c in costs} == {
+        ScaledExponential, ScaledPower, AffineQuadratic}
+    expected = []
+    for team, costs in problems:
+        try:
+            expected.append(equilibrium_exit_schedule(team, costs, WIDE))
+        except SolverError as exc:
+            expected.append(exc)
+    failures = sum(isinstance(want, SolverError) for want in expected)
+    assert 10 < failures < len(problems) - 10
+    schedules = None
+    for k, want in enumerate(expected):
+        schedules = schedules or exit_schedules(problems[k:], WIDE)
+        if isinstance(want, ExitSchedule):
+            assert next(schedules) == want
+            continue
+        with pytest.raises(SolverError) as info:
+            next(schedules)
+        assert (type(info.value), str(info.value)) == (type(want), str(want))
+        schedules = None
+
+
+def test_exit_schedules_solve_a_problem_only_when_asked(monkeypatch):
+    import teamsearch.scopes as scopes_module
+
+    solved, read = [], []
+    real = scopes_module.equilibrium_scopes
+
+    def counting(alliance, costs, bounds):
+        solved.append(tuple(alliance))
+        return real(alliance, costs, bounds)
+
+    def problems():
+        for betas in ([1.0, 1.2, 8.0], [1.0, 3.0]):
+            read.append(betas)
+            yield range(len(betas)), exp_team(betas)
+
+    monkeypatch.setattr(scopes_module, "equilibrium_scopes", counting)
+    schedules = exit_schedules(problems(), WIDE)
+    assert (read, solved) == ([], [])
+    first = next(schedules)
+    assert read == [[1.0, 1.2, 8.0]] and set(solved) >= {w.alliance for w in first.waves}
+    before = list(solved)
+    second = next(schedules)
+    assert len(read) == 2 and solved[:len(before)] == before
+    assert set(solved[len(before):]) >= {w.alliance for w in second.waves}
+    assert second == equilibrium_exit_schedule(range(2), exp_team([1.0, 3.0]), WIDE)

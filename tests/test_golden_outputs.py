@@ -3,7 +3,8 @@
 ``tests/golden/`` holds, for each shipped scenario, the stdout of ``validate``,
 ``solve`` and ``schedule`` (both modes) in ``<scenario>.<command>.txt``, and
 ``runs.json`` with each run's exit code and stderr and the sha256 of the CSV
-of a 24-step ``scan`` of ``scenarios/scan.json``.  Re-record them, from the
+of a 24-step ``scan`` of ``scenarios/scan.json``.  The sha256 of that scan's
+``--svg`` drawing is SCAN_SVG_SHA256 below.  Re-record the files, from the
 tree on the path, with::
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -35,6 +36,7 @@ COMMANDS = {
     "schedule-sp": ("schedule", "--mode", "sp"),
 }
 SCAN_STEPS = 24
+SCAN_SVG_SHA256 = "8f7a6fc2d2569240a46613dbfe443d72823536627555b8872aabab7e89ed6ce8"
 RUNS = [(path.stem, name) for path in sorted(SCENARIOS.glob("*.json")) for name in COMMANDS]
 
 
@@ -51,16 +53,17 @@ def run_scenario(scenario: str, name: str) -> tuple[int, str, str]:
     return run([command, str(SCENARIOS / f"{scenario}.json"), *rest])
 
 
-def scan_digest() -> str:
-    """sha256 of the CSV of ``scenarios/scan.json`` at SCAN_STEPS steps."""
+def scan_digests() -> tuple[str, str]:
+    """sha256 of the CSV and of the SVG of ``scenarios/scan.json`` at SCAN_STEPS steps."""
     doc = json.loads((SCENARIOS / "scan.json").read_text(encoding="utf-8"))
     doc["scan"]["steps"] = SCAN_STEPS
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "scan.json"
+        path, svg = Path(tmp) / "scan.json", Path(tmp) / "scan.svg"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(["scan", str(path)])
+        code, out, err = run(["scan", str(path), "--svg", str(svg)])
+        drawing = svg.read_bytes()
     assert (code, err) == (0, "")
-    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+    return hashlib.sha256(out.encode("utf-8")).hexdigest(), hashlib.sha256(drawing).hexdigest()
 
 
 def load_runs() -> dict:
@@ -75,7 +78,11 @@ def test_shipped_scenario_output_is_unchanged(scenario, name):
 
 
 def test_scan_csv_is_unchanged():
-    assert scan_digest() == load_runs()["scan_sha256"]
+    assert scan_digests()[0] == load_runs()["scan_sha256"]
+
+
+def test_scan_svg_is_unchanged():
+    assert scan_digests()[1] == SCAN_SVG_SHA256
 
 
 def record() -> None:
@@ -85,7 +92,7 @@ def record() -> None:
         code, out, err = run_scenario(scenario, name)
         (GOLDEN / f"{scenario}.{name}.txt").write_text(out, encoding="utf-8")
         runs[f"{scenario}.{name}"] = {"exit": code, "stderr": err}
-    doc = {"scan_steps": SCAN_STEPS, "scan_sha256": scan_digest(), "runs": runs}
+    doc = {"scan_steps": SCAN_STEPS, "scan_sha256": scan_digests()[0], "runs": runs}
     (GOLDEN / "runs.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 

@@ -57,3 +57,22 @@ def test_only_the_planner_prefetches():
                and node.func.attr == "prefetch" for node in ast.walk(tree)):
             callers.add(path.name)
     assert callers == {"planner.py"}
+
+
+def test_each_memo_is_built_by_its_owner():
+    # The equilibrium and the planner each build the profile memo their
+    # schedules or chains share; the CLI builds one only for `solve`, and the
+    # scan reads no solver or memo itself.
+    def builds(node) -> int:
+        return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "ProfileCache" for n in ast.walk(node))
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, tree in trees.items() if builds(tree)} == {
+        "equilibrium.py", "planner.py", "cli.py"}
+    assert builds(trees["cli.py"]) == 1
+    assert [f.name for f in trees["cli.py"].body
+            if isinstance(f, ast.FunctionDef) and builds(f)] == ["cmd_solve"]
+    assert not [node.module for node in ast.walk(trees["scan.py"])
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scopes")]

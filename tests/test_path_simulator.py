@@ -677,3 +677,26 @@ def test_a_wave_no_path_reached_has_no_stats():
     tau, m, count = out.wave_stats(1)
     assert math.isnan(tau) and math.isnan(m) and count == 0
     assert all(map(math.isnan, out.wave_se(1)))
+
+
+def test_huge_path_count_is_refused_in_one_short_line(capsys, tmp_path):
+    # The outcome size is counted in exact integers and both counts are echoed
+    # through reprlib, so an ordinary count keeps its full text and a huge one
+    # gives a short line, not an OverflowError.
+    from teamsearch.cli import main
+
+    scenario = tmp_path / "huge.json"
+    errors = []
+    for n_paths in (simulate.MAX_OUTCOME_BYTES // 8, 10**300, 10**320):
+        scenario.write_text(json.dumps({
+            "agents": [{"family": "scaled_exponential", "b": 1.0}],
+            "scope_bounds": {"lo": 0.1, "hi": 10.0},
+            "sim": {"dt": 1e-3, "n_paths": n_paths, "seed": 1},
+        }))
+        assert main(["simulate", str(scenario)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == ("error: n_paths=33554432 needs 2560 MiB of outcome arrays, "
+                         "over the budget of 256 MiB\n")
+    for err in errors[1:]:
+        assert err.startswith("error: n_paths=1000") and "..." in err and "budget" in err
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 200

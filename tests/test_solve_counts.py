@@ -58,6 +58,7 @@ def test_scan_solves_three_equilibria(solved, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "ProfileCache", Recording)
     monkeypatch.setattr("teamsearch.planner.ProfileCache", Recording)
+    monkeypatch.setattr("teamsearch.equilibrium.ProfileCache", Recording)
     doc = json.loads((SCENARIOS / "scan.json").read_text(encoding="utf-8"))
     doc["scan"]["steps"] = 12
     path = tmp_path / "scan.json"
