@@ -62,6 +62,10 @@ class ScopeBounds:
             raise ValueError(f"lower scope bound must be >= {SCOPE_FLOOR}")
         if self.hi < self.lo:
             raise ValueError("upper scope bound must not be below the lower bound")
+        # Stored as floats, whatever numbers the caller gave: a scope clipped to
+        # a bound is then a float, and so is numpy arithmetic on the bounds.
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
 
     def clip(self, sigma: float) -> float:
         return min(max(sigma, self.lo), self.hi)

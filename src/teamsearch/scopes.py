@@ -7,18 +7,20 @@ h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.
 
-Problems are solved in batched passes of (problems x grid) arrays.  Each
-round evaluates the rows' terms by member position and stack key: one call
-per cost family (and power exponent) at a position, on a spec stacked over
-that group's rows, where a stack of one spec is that spec.  A position
-groups its terms once per set of rows, so the grid call and every round in
-which each row keeps one bracket reuse the same groups.  A single solve
-is a pass of one problem.  Each row does the arithmetic of a solve alone,
-so a profile does not depend on its batch.  A group whose rows are one run
-(prefetch lists problems largest alliance first) is read and summed through
-a row slice, not an index array.  The planner gap takes one error state per
-call and checks its costs once, through their sum; k-section compares signs
-by ``np.sign``, so gaps too large to multiply raise no warning.
+Equilibrium problems are solved one at a time (a cascade learns its next
+alliance only from the solve before); batched passes of (problems x grid)
+arrays are the planner's.  Each round evaluates the rows' scopes and costs
+by member position and stack key: one call per cost family (and power
+exponent) at a position, on a spec stacked over that group's rows, where a
+stack of one spec is that spec.  A position groups its specs once per set
+of rows, so the grid call and every round in which each row keeps one
+bracket reuse the same groups.  A single solve is a pass of one problem.
+Each row does the arithmetic of a solve alone, so a profile does not
+depend on its batch.  A group whose rows are one run (prefetch lists
+problems largest alliance first) is read and summed through a row slice,
+not an index array.  The planner gap takes one error state per call and
+checks its costs once, through their sum; k-section compares signs by
+``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
 ``ProfileCache("eq")`` shares one profile among all cost lists whose members
@@ -145,37 +147,35 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Position:
-    """The terms at one term position of a pass's rows, grouped by stack key."""
+    """The specs at one member position of a planner pass's rows, grouped by stack key."""
 
     stacks: list[SpecStack]
-    stack: np.ndarray  # each row's index in stacks (-1: no term there)
+    stack: np.ndarray  # each row's index in stacks (-1: no member there)
     index: np.ndarray  # each row's spec index in its stack
-    count: np.ndarray  # each row's count of agents with that spec
     groups: dict = field(default_factory=dict)  # row set's bytes -> its _by_term groups here
 
 
-def _slots(terms: list[list[tuple[CostSpec, int]]]) -> list[_Position]:
-    """A ``_Position`` of the rows' (spec, count) terms per term position."""
+def _slots(rows: list[list[CostSpec]]) -> list[_Position]:
+    """A ``_Position`` of the rows' specs per member position."""
     slots = []
-    for k in range(max(map(len, terms))):
+    for k in range(max(map(len, rows))):
         stacks: dict[tuple, dict[CostSpec, int]] = {}
-        placed = []  # per row: (stack index, spec index in it, count)
-        for t in terms:
-            if k >= len(t):
-                placed.append((-1, 0, 0))
+        placed = []  # per row: (stack index, spec index in it)
+        for specs in rows:
+            if k >= len(specs):
+                placed.append((-1, 0))
                 continue
-            spec, cnt = t[k]
-            key = spec.stack_key()
-            specs = stacks.setdefault(key, {})
-            placed.append((list(stacks).index(key), specs.setdefault(spec, len(specs)), cnt))
-        slots.append(_Position([SpecStack(list(specs)) for specs in stacks.values()],
+            key = specs[k].stack_key()
+            stack = stacks.setdefault(key, {})
+            placed.append((list(stacks).index(key), stack.setdefault(specs[k], len(stack))))
+        slots.append(_Position([SpecStack(list(stack)) for stack in stacks.values()],
                                *np.array(placed).T))
     return slots
 
 
 def _by_term(slots: list[_Position], rows: np.ndarray):
-    """Per term position and stack present there: the ``rows`` entries with a
-    term of that stack, their counts, and the spec stacked over them.
+    """Per member position and stack present there: the ``rows`` entries with
+    a spec of that stack, and the spec stacked over them.
 
     The entries are a slice when they are one run (always so when the pass's
     specs share one stack key and its problems are listed by alliance size),
@@ -192,30 +192,30 @@ def _by_term(slots: list[_Position], rows: np.ndarray):
                 sel = np.flatnonzero(at == s)
                 if not sel.size:
                     continue
-                picked = rows[sel]
                 first, last = sel[[0, -1]].tolist()
                 order = slice(first, last + 1) if last - first + 1 == len(sel) else sel
-                groups.append((order, slot.count[picked, None], stack.take(slot.index[picked])))
+                groups.append((order, stack.take(slot.index[rows[sel]])))
         yield from slot.groups[key]
 
 
-def _row_sums(slots: list[_Position], x: np.ndarray, at: np.ndarray, term) -> list[np.ndarray]:
-    """Per output of ``term(spec, xs, cnt)``, each row's sum over its terms.
+def _row_sums(slots: list[_Position], lam: np.ndarray, at: np.ndarray, bounds: ScopeBounds,
+              cost) -> list[np.ndarray]:
+    """Each row's sums of ``cost(spec, sigma)`` and of sigma over its members,
+    where sigma is a member's bound-clipped inverse marginal at ``lam``.
 
-    Row j of ``x`` belongs to pass row ``at[j]``; ``term`` gets the rows of
-    ``x`` that have a term of one stack at one position, the spec stacked
-    over them and their counts, and returns fresh arrays shaped like ``xs``.
-    The sums run position by position, so each row adds its terms in its own
-    order.  They start from the first group's values when it covers every
-    row, else from zeros (0 + t is t: no term is -0.0).
+    Row j of ``lam`` belongs to pass row ``at[j]``.  The sums run position
+    by position, so each row adds its terms in its own order.  They start
+    from the first group's values when it covers every row, else from zeros
+    (0 + t is t: no term is -0.0).
     """
     sums: list[np.ndarray] = []
-    for order, cnt, spec in _by_term(slots, at):
-        vals = term(spec, x[order], cnt)
-        if not sums and len(vals[0]) == len(x):
+    for order, spec in _by_term(slots, at):
+        sig = np.clip(spec.inverse_marginal(lam[order]), bounds.lo, bounds.hi)
+        vals = cost(spec, sig), sig
+        if not sums and len(sig) == len(lam):
             sums = list(vals)
             continue
-        sums = sums or [np.zeros_like(x) for _ in vals]
+        sums = sums or [np.zeros_like(lam) for _ in vals]
         for into, value in zip(sums, vals):
             into[order] += value
     return sums
@@ -242,8 +242,7 @@ def _in_passes(solve_pass, problems, bounds: ScopeBounds) -> list[ScopeProfile |
 
 
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
-    """Vectorized best-reply scope for one agent (or a stacked spec's agents,
-    one a row) across candidate totals."""
+    """Vectorized best-reply scope for one agent across candidate totals."""
     rc = spec.ratio_constant
     if rc is not None:
         return np.where(rc > totals, bounds.hi, bounds.lo)
@@ -256,20 +255,19 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
 
 
 def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
-    rows = _problem_specs(problems)
-    n = np.array([len(specs) for specs in rows])
-    grids = np.linspace(n * bounds.lo, n * bounds.hi, SCAN_POINTS, axis=1)
-    # Agents with equal specs reply alike: one term (spec, count) per distinct spec.
-    slots = _slots([list(Counter(specs.values()).items()) for specs in rows])
+    profiles = []
+    for specs in _problem_specs(problems):
+        grid = np.linspace(len(specs) * bounds.lo, len(specs) * bounds.hi, SCAN_POINTS)
+        # Agents with equal specs reply alike: one term per distinct spec.
+        counts = Counter(specs.values())
 
-    def reply_gap(totals: np.ndarray, at: np.ndarray) -> np.ndarray:
-        [acc] = _row_sums(slots, totals, at,
-                          lambda spec, x, cnt: [_reply_grid(spec, bounds, x) * cnt])
-        acc -= totals
-        return acc
+        def reply_gap(totals: np.ndarray, _) -> np.ndarray:
+            return sum(count * _reply_grid(spec, bounds, totals)
+                       for spec, count in counts.items()) - totals
 
-    roots, gaps = _roots(reply_gap, grids)
-    return [_equilibrium_profile(*row, bounds) for row in zip(rows, grids, roots, gaps)]
+        [roots], [gaps] = _roots(reply_gap, grid[None])
+        profiles.append(_equilibrium_profile(specs, grid, roots, gaps, bounds))
+    return profiles
 
 
 def _equilibrium_profile(
@@ -356,25 +354,17 @@ def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
     lam_lo = [0.999 * min(at_lo[spec] for spec in specs.values()) for specs in rows]
     lam_hi = [1.001 * max(at_hi[spec] for spec in specs.values()) for specs in rows]
     grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
-    slots = _slots([[(spec, 1) for spec in specs.values()] for specs in rows])
-
-    def gap_terms(cost):
-        def term(spec, x, _):
-            sig = np.clip(spec.inverse_marginal(x), bounds.lo, bounds.hi)
-            return cost(spec, sig), sig
-        return term
-
-    fast, guarded = gap_terms(CostSpec.bare_cost), gap_terms(CostSpec.cost)
+    slots = _slots([list(specs.values()) for specs in rows])
 
     def gap(lam: np.ndarray, at: np.ndarray) -> np.ndarray:
         # One error state for the whole gap: 2 * sum(C) - lam * sum(sigma) may
         # overflow to -inf quietly, and a cost is checked through its sum.
         with np.errstate(all="ignore"):
-            cost_sum, scope_sum = _row_sums(slots, lam, at, fast)
+            cost_sum, scope_sum = _row_sums(slots, lam, at, bounds, CostSpec.bare_cost)
             if not np.isfinite(cost_sum).all():
                 # The guarded cost() raises for the first non-finite term, as
                 # a solve alone would; finite terms with an infinite sum pass.
-                cost_sum, scope_sum = _row_sums(slots, lam, at, guarded)
+                cost_sum, scope_sum = _row_sums(slots, lam, at, bounds, CostSpec.cost)
             cost_sum *= 2.0
             scope_sum *= lam
             cost_sum -= scope_sum
@@ -456,13 +446,14 @@ def planner_scopes(
 
 
 def equilibrium_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
-    """``equilibrium_scopes`` of each (alliance, costs) problem, solved in batched
-    passes of at most PASS_ROWS; a pass that raises gives None for its problems."""
+    """``equilibrium_scopes`` of each (alliance, costs) problem, alone, in passes
+    of at most PASS_ROWS; a pass that raises gives None for its problems."""
     return _in_passes(_equilibrium_pass, problems, bounds)
 
 
 def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
-    """``planner_scopes`` of each (alliance, costs) problem, batched as ``equilibrium_profiles``."""
+    """``planner_scopes`` of each (alliance, costs) problem, solved in batched
+    passes of at most PASS_ROWS; a pass that raises gives None for its problems."""
     return _in_passes(_planner_pass, problems, bounds)
 
 

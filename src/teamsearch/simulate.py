@@ -86,6 +86,10 @@ MAX_STEPS = 10**8
 # Largest size of the outcome arrays a run may have, checked before any path is
 # drawn: 3.3 million paths of one agent and one wave.
 MAX_OUTCOME_BYTES = 2**28
+# Largest expected work, in path-steps (paths x expected duration / dt), a run
+# may have; checked before any path is drawn.  The largest run of the shipped
+# scenarios, tests and benchmark expects 2 * 10**8 (the stopped-maximum KS check).
+MAX_PATH_STEPS = 10**10
 KS_SIGNIFICANCE = 0.01
 
 
@@ -347,6 +351,11 @@ def simulate_phases(phases: Sequence[Phase], config: SimConfig) -> SimOutcome:
     scales = np.array([p.exit_scale for p in phases])
 
     work = n * min(expected, t_max) / dt  # expected path-steps
+    if work > MAX_PATH_STEPS:
+        raise ValidationError(
+            f"n_paths={reprlib.repr(n)} at dt={dt:.6g} expect {work:.3g} path-steps, "
+            f"over the budget of {MAX_PATH_STEPS:.3g}"
+        )
     workers = _usable_cpus() if work >= POOL_WORK and hasattr(os, "fork") else 1
     size = min(BLOCK, -(-n // workers))
     blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]

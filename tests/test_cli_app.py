@@ -666,3 +666,12 @@ def test_scan_budget_error_shortens_a_huge_step_count(capsys, tmp_path):
     err = main_error(capsys, doc, tmp_path)
     assert err.startswith("error: scan: steps=1000") and "budget" in err
     assert "..." in err and len(err.encode()) < 200
+
+
+def test_scan_budget_error_names_the_budget_for_a_step_count_too_long_to_square(capsys, tmp_path):
+    # 10**2200 squared has 4,401 digits, past what Python formats as a
+    # string; the line still names the cell budget.
+    doc = dict(base_doc(betas=(1.0, 1.0, 1.0)), scan={"steps": 10**2200})
+    err = main_error(capsys, doc, tmp_path)
+    assert err.startswith("error: scan: steps=1000") and "budget of 1000000" in err
+    assert len(err.encode()) < 200

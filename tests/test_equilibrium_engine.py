@@ -284,3 +284,24 @@ def test_exit_schedules_solve_a_problem_only_when_asked(monkeypatch):
     assert len(read) == 2 and solved[:len(before)] == before
     assert set(solved[len(before):]) >= {w.alliance for w in second.waves}
     assert second == equilibrium_exit_schedule(range(2), exp_team([1.0, 3.0]), WIDE)
+
+
+def test_int_bounds_give_the_float_bounds_schedules():
+    # Bounds are stored as floats, so int bounds from a library caller give
+    # the same schedules and chains, with float scopes, as their float values.
+    from teamsearch.planner import optimal_chain
+
+    costs = exp_team([1.0, 1.5, 2.0])
+    for lo, hi in ((1, 2), (2, 5)):
+        given, floats = ScopeBounds(lo, hi), ScopeBounds(float(lo), float(hi))
+        assert (type(given.lo), type(given.hi)) == (float, float)
+        for plan in (lambda b: equilibrium_exit_schedule(range(3), costs, b),
+                     lambda b: optimal_chain(costs, b)):
+            got, want = plan(given), plan(floats)
+            assert got == want
+            phases = list(got.phases())
+            assert phases and all(
+                type(x) is float for _, profile, _ in phases
+                for x in (profile.total, *profile.per_agent.values()))
+            assert any(x in (lo, hi) for _, profile, _ in phases
+                       for x in profile.per_agent.values())

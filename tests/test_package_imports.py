@@ -76,3 +76,31 @@ def test_each_memo_is_built_by_its_owner():
             if isinstance(f, ast.FunctionDef) and builds(f)] == ["cmd_solve"]
     assert not [node.module for node in ast.walk(trees["scan.py"])
                 if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scopes")]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that an import in ``source`` binds and that no other node reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_check_flags_unused_imports():
+    assert unused_imports("import numpy as np\nfrom .costs import A, B\nA(np)") == ["B"]
+    assert unused_imports("import os.path\nos.path.join('a')") == []
+    assert unused_imports("from __future__ import annotations\nimport math\n"
+                          "def f(x: math.inf): pass") == []
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export; every other module reads what it imports.
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) > 5
+    unused = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -700,3 +700,24 @@ def test_huge_path_count_is_refused_in_one_short_line(capsys, tmp_path):
     for err in errors[1:]:
         assert err.startswith("error: n_paths=1000") and "..." in err and "budget" in err
         assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+
+
+def test_run_over_the_path_step_budget_is_refused_before_any_step(capsys, tmp_path, monkeypatch):
+    # A million paths at dt = 1e-7 expect about 1.8e11 path-steps: refused in
+    # one line naming the budget, before any block is stepped.
+    from teamsearch.cli import main
+
+    def no_step(*args):
+        raise AssertionError("a block was stepped")
+
+    monkeypatch.setattr(simulate, "_step_block", no_step)
+    scenario = tmp_path / "long.json"
+    scenario.write_text(json.dumps({
+        "agents": [{"family": "scaled_exponential", "b": 1.0}],
+        "scope_bounds": {"lo": 0.1, "hi": 10.0},
+        "sim": {"dt": 1e-7, "n_paths": 10**6, "seed": 1},
+    }))
+    assert main(["simulate", str(scenario)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: n_paths=1000000 at dt=1e-07 expect 1.83e+11 path-steps, "
+                   "over the budget of 1e+10\n")

@@ -824,9 +824,9 @@ def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatc
     real_by_term = scopes_module._by_term
 
     def recording(slots, rows):
-        for order, cnt, terms in real_by_term(slots, rows):
+        for order, spec in real_by_term(slots, rows):
             orders.append(order)
-            yield order, cnt, terms
+            yield order, spec
 
     for many in (equilibrium_profiles, planner_profiles):
         before = dict(zip(map(repr, cell_major), many(cell_major, WIDE)))
@@ -835,7 +835,7 @@ def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatc
         monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
         assert None not in after.values()
         assert after == before
-    assert len(cells) == 43 and len(orders) > 100
+    assert len(cells) == 43 and len(orders) == 90
     assert all(isinstance(order, slice) for order in orders)
 
 
@@ -852,9 +852,9 @@ def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
     real_by_term = scopes_module._by_term
 
     def recording(slots, rows):
-        for order, cnt, terms in real_by_term(slots, rows):
+        for order, spec in real_by_term(slots, rows):
             orders.append(order)
-            yield order, cnt, terms
+            yield order, spec
 
     cache = ProfileCache("sp")
     monkeypatch.setattr(scopes_module, "_by_term", recording)
@@ -871,7 +871,7 @@ def test_mixed_pass_groups_terms_by_position_and_stack():
     # position 1 and the exponential terms at position 0 not one run.
     e1, e2, e3 = (ScaledExponential(b=1.0, beta=beta) for beta in (1.0, 3.0, 7.0))
     p1, p2, p3 = (ScaledPower(a=a, p=3.0) for a in (0.5, 1.5, 2.5))
-    terms = [[(e1, 1), (p1, 1)], [(p2, 1), (e2, 1)], [(e3, 2)], [(e1, 1), (p3, 1)]]
+    terms = [[e1, p1], [p2, e2], [e3], [e1, p3]]
     slots = scopes_module._slots(terms)
     x_all = np.linspace(0.2, 3.0, 30).reshape(6, 5)
     for rows in (np.arange(4), np.array([0, 2, 2, 3, 3, 1])):
@@ -880,29 +880,29 @@ def test_mixed_pass_groups_terms_by_position_and_stack():
         # One group per (position, family) present, families in pass order.
         want = []
         for k in range(2):
-            for family in dict.fromkeys(type(t[k][0]) for t in terms if k < len(t)):
+            for family in dict.fromkeys(type(t[k]) for t in terms if k < len(t)):
                 entries = [j for j, r in enumerate(rows)
-                           if k < len(terms[r]) and type(terms[r][k][0]) is family]
+                           if k < len(terms[r]) and type(terms[r][k]) is family]
                 want += [(k, family, entries)] if entries else []
         assert len(groups) == len(want)
-        for (order, cnt, spec), (k, family, entries) in zip(groups, want):
+        for (order, spec), (k, family, entries) in zip(groups, want):
             assert np.arange(len(rows))[order].tolist() == entries
             contiguous = entries[-1] - entries[0] + 1 == len(entries)
             assert isinstance(order, slice) == contiguous
             own = [terms[rows[j]][k] for j in entries]
-            assert cnt.ravel().tolist() == [c for _, c in own]
             assert type(spec) is family
             got = spec.cost(x[order])
-            for i, (s, _) in enumerate(own):
+            for i, s in enumerate(own):
                 assert got[i].tobytes() == s.cost(x[entries[i]]).tobytes()
-        assert not all(isinstance(order, slice) for order, _, _ in groups)
-        cost, scope = scopes_module._row_sums(
-            slots, x, rows, lambda spec, xs, cnt: [spec.cost(xs) * cnt, spec.marginal(xs)])
+        assert not all(isinstance(order, slice) for order, _ in groups)
+        bounds = ScopeBounds(0.3, 1.5)
+        cost, scope = scopes_module._row_sums(slots, x, rows, bounds, CostSpec.cost)
         for j, r in enumerate(rows):
             c = m = None
-            for s, n in terms[r]:
-                c = s.cost(x[j]) * n if c is None else c + s.cost(x[j]) * n
-                m = s.marginal(x[j]) if m is None else m + s.marginal(x[j])
+            for s in terms[r]:
+                sig = np.clip(s.inverse_marginal(x[j]), bounds.lo, bounds.hi)
+                c = s.cost(sig) if c is None else c + s.cost(sig)
+                m = sig if m is None else m + sig
             assert cost[j].tobytes() == c.tobytes() and scope[j].tobytes() == m.tobytes()
 
 
