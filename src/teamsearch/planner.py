@@ -56,6 +56,8 @@ class _Links:
         self, costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None = None
     ):
         self.cache = cache or ProfileCache("sp")
+        if self.cache.mode != "sp":
+            raise ValueError(f"planner links need a ProfileCache('sp'), not {self.cache.mode!r}")
         self.costs = costs
         self.bounds = bounds
         self._cost_per_speed: dict[Alliance, float] = {(): 0.0}
@@ -218,7 +220,7 @@ def brute_force_optimal_chain(
 
 
 def _dp_optimal_chain(
-    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache | None
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache
 ) -> AllianceChain:
     """The chain ``brute_force_optimal_chain`` picks, by a DP over links.
 

@@ -41,14 +41,15 @@ class ScanSpec:
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
         if self.steps**2 > MAX_SCAN_CELLS:
-            # A square is echoed only when short enough to format at all: ints
+            # A number is echoed only when short enough to format at all: ints
             # of over 4,300 digits are refused by Python's str().
             cells = (reprlib.repr(self.steps**2) if self.steps <= MAX_SCAN_CELLS
                      else f"more than {MAX_SCAN_CELLS}**2")
-            raise ValueError(
-                f"steps={reprlib.repr(self.steps)} gives {cells} cells, "
-                f"over the budget of {MAX_SCAN_CELLS}"
-            )
+            try:
+                steps = f"steps={reprlib.repr(self.steps)}"
+            except ValueError:
+                steps = f"steps=<an int of {self.steps.bit_length()} bits>"
+            raise ValueError(f"{steps} gives {cells} cells, over the budget of {MAX_SCAN_CELLS}")
         for lo, hi in (self.beta2_range, self.beta3_range):
             if not math.isfinite(self.steps * (hi - lo)):  # a grid value's numerator
                 raise ValueError(f"steps * (hi - lo) overflows for the beta range [{lo}, {hi}]")

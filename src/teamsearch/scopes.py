@@ -7,20 +7,20 @@ h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.
 
-Equilibrium problems are solved one at a time (a cascade learns its next
-alliance only from the solve before); batched passes of (problems x grid)
-arrays are the planner's.  Each round evaluates the rows' scopes and costs
-by member position and stack key: one call per cost family (and power
-exponent) at a position, on a spec stacked over that group's rows, where a
-stack of one spec is that spec.  A position groups its specs once per set
-of rows, so the grid call and every round in which each row keeps one
-bracket reuse the same groups.  A single solve is a pass of one problem.
-Each row does the arithmetic of a solve alone, so a profile does not
-depend on its batch.  A group whose rows are one run (prefetch lists
-problems largest alliance first) is read and summed through a row slice,
-not an index array.  The planner gap takes one error state per call and
-checks its costs once, through their sum; k-section compares signs by
-``np.sign``, so gaps too large to multiply raise no warning.
+Equilibrium problems are solved one at a time, each on one grid row (a
+cascade learns its next alliance only from the solve before); batched
+passes of (problems x grid) arrays are the planner's alone.  Each round
+evaluates the rows' scopes and costs by member position and stack key: one
+call per cost family (and power exponent) at a position, on a spec stacked
+over that group's rows, where a stack of one spec is that spec.  A position
+groups its specs once per set of rows, so the grid call and every round in
+which each row keeps one bracket reuse the same groups.  A single planner
+solve is a pass of one problem.  Each row does the arithmetic of a solve
+alone, so a profile does not depend on its batch.  A group whose rows are
+one run (prefetch lists problems largest alliance first) is read and summed
+through a row slice, not an index array.  The planner gap takes one error
+state per call and checks its costs once, through their sum; k-section
+compares signs by ``np.sign``, so gaps too large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
 ``ProfileCache("eq")`` shares one profile among all cost lists whose members
@@ -229,18 +229,6 @@ def _problem_specs(problems) -> list[dict[int, CostSpec]]:
     return out
 
 
-def _in_passes(solve_pass, problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
-    """``solve_pass`` over passes of at most PASS_ROWS problems; a pass that raises gives Nones."""
-    out: list[ScopeProfile | None] = []
-    for start in range(0, len(problems), PASS_ROWS):
-        part = problems[start:start + PASS_ROWS]
-        try:
-            out += solve_pass(part, bounds)
-        except (TeamSearchError, ValueError):
-            out += [None] * len(part)
-    return out
-
-
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
     """Vectorized best-reply scope for one agent across candidate totals."""
     rc = spec.ratio_constant
@@ -254,27 +242,27 @@ def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.n
     return np.where(np.isfinite(matched), clipped, fallback)
 
 
-def _equilibrium_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
-    profiles = []
-    for specs in _problem_specs(problems):
-        grid = np.linspace(len(specs) * bounds.lo, len(specs) * bounds.hi, SCAN_POINTS)
-        # Agents with equal specs reply alike: one term per distinct spec.
-        counts = Counter(specs.values())
-
-        def reply_gap(totals: np.ndarray, _) -> np.ndarray:
-            return sum(count * _reply_grid(spec, bounds, totals)
-                       for spec, count in counts.items()) - totals
-
-        [roots], [gaps] = _roots(reply_gap, grid[None])
-        profiles.append(_equilibrium_profile(specs, grid, roots, gaps, bounds))
-    return profiles
-
-
-def _equilibrium_profile(
-    specs: dict[int, CostSpec], grid: np.ndarray, roots: list[float], h_grid: np.ndarray,
-    bounds: ScopeBounds,
+def equilibrium_scopes(
+    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
 ) -> ScopeProfile:
+    """Solve the within-alliance equilibrium scope system with bound clipping.
+
+    Constant-ratio agents (exponential costs) whose ratio equals the solved
+    total have indeterminate individual scopes; the slack left by all other
+    agents is split equally among them and the profile is flagged degenerate
+    when two or more agents share it.
+    """
+    [specs] = _problem_specs([(alliance, costs)])
     members = tuple(specs)
+    grid = np.linspace(len(specs) * bounds.lo, len(specs) * bounds.hi, SCAN_POINTS)
+    # Agents with equal specs reply alike: one term per distinct spec.
+    counts = Counter(specs.values())
+
+    def reply_gap(totals: np.ndarray, _) -> np.ndarray:
+        return sum(count * _reply_grid(spec, bounds, totals)
+                   for spec, count in counts.items()) - totals
+
+    [roots], [h_grid] = _roots(reply_gap, grid[None])
     warnings: list[str] = []
     if not roots:
         raise SolverError(
@@ -330,19 +318,6 @@ def _equilibrium_profile(
         residual=residual,
         warnings=tuple(warnings),
     )
-
-
-def equilibrium_scopes(
-    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
-) -> ScopeProfile:
-    """Solve the within-alliance equilibrium scope system with bound clipping.
-
-    Constant-ratio agents (exponential costs) whose ratio equals the solved
-    total have indeterminate individual scopes; the slack left by all other
-    agents is split equally among them and the profile is flagged degenerate
-    when two or more agents share it.
-    """
-    return _equilibrium_pass([(alliance, costs)], bounds)[0]
 
 
 def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
@@ -445,16 +420,17 @@ def planner_scopes(
     return _planner_pass([(alliance, costs)], bounds)[0]
 
 
-def equilibrium_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
-    """``equilibrium_scopes`` of each (alliance, costs) problem, alone, in passes
-    of at most PASS_ROWS; a pass that raises gives None for its problems."""
-    return _in_passes(_equilibrium_pass, problems, bounds)
-
-
 def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
     """``planner_scopes`` of each (alliance, costs) problem, solved in batched
     passes of at most PASS_ROWS; a pass that raises gives None for its problems."""
-    return _in_passes(_planner_pass, problems, bounds)
+    out: list[ScopeProfile | None] = []
+    for start in range(0, len(problems), PASS_ROWS):
+        part = problems[start:start + PASS_ROWS]
+        try:
+            out += _planner_pass(part, bounds)
+        except (TeamSearchError, ValueError):
+            out += [None] * len(part)
+    return out
 
 
 def _member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
@@ -464,7 +440,7 @@ def _member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
 
 def _reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
     """All that an equilibrium solve reads of the members' specs: their reply
-    keys, and which members share a spec (a pass sums one reply per distinct
+    keys, and which members share a spec (a solve sums one reply per distinct
     spec, so splitting or merging equal specs changes the rounding)."""
     specs, first = [costs[i] for i in alliance], {}  # spec -> its first position
     return (tuple(spec.reply_key() for spec in specs),
@@ -474,18 +450,17 @@ def _reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
 class ProfileCache:
     """Profiles of one mode, ``"eq"`` or ``"sp"``, each solved once.
 
-    A mode solves by ``equilibrium_scopes`` or ``planner_scopes``, batched by
-    ``equilibrium_profiles`` or ``planner_profiles`` (this module's bindings
-    when the cache is built).  Entries are keyed by (alliance, the members'
-    reply pattern or specs, bounds): all that a solve reads, so one cache
-    serves any number of cost lists.
+    A mode solves by ``equilibrium_scopes`` or ``planner_scopes`` (this
+    module's bindings when the cache is built); only a planner cache
+    prefetches.  Entries are keyed by (alliance, the members' reply pattern
+    or specs, bounds): all that a solve reads, so one cache serves any number
+    of cost lists.
     """
 
     def __init__(self, mode: str):
-        self.solve, self._solve_many, self._key = {
-            "eq": (equilibrium_scopes, equilibrium_profiles, _reply_pattern),
-            "sp": (planner_scopes, planner_profiles, _member_specs),
-        }[mode]
+        self.mode = mode
+        self.solve, self._key = {"eq": (equilibrium_scopes, _reply_pattern),
+                                 "sp": (planner_scopes, _member_specs)}[mode]
         self._profiles: dict[tuple, ScopeProfile] = {}
 
     def profile(
@@ -504,9 +479,11 @@ class ProfileCache:
         slice.  A problem a failed pass leaves unsolved is left to ``profile``,
         which solves it alone and so raises its error as that solve would.
         """
+        if self.mode != "sp":
+            raise ValueError(f"only a planner ProfileCache prefetches, not {self.mode!r}")
         todo = {(a, self._key(a, c), bounds): (a, c) for a, c in problems}
         keys = sorted((key for key in todo if key not in self._profiles), key=lambda k: -len(k[0]))
-        for key, prof in zip(keys, self._solve_many([todo[key] for key in keys], bounds)):
+        for key, prof in zip(keys, planner_profiles([todo[key] for key in keys], bounds)):
             if prof is not None:
                 self._profiles[key] = prof
 

@@ -105,6 +105,9 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
+        for name, value in (("n_paths", self.n_paths), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be at least 1")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:

@@ -675,3 +675,17 @@ def test_scan_budget_error_names_the_budget_for_a_step_count_too_long_to_square(
     err = main_error(capsys, doc, tmp_path)
     assert err.startswith("error: scan: steps=1000") and "budget of 1000000" in err
     assert len(err.encode()) < 200
+
+
+def test_scan_budget_error_names_the_budget_for_a_step_count_too_long_to_print():
+    # 10**5000 has more digits than Python formats as a string (a scenario
+    # file cannot hold it, but a caller can build the spec): the line gives
+    # its size in bits and the cell budget.
+    from teamsearch.scan import MAX_SCAN_CELLS, ScanSpec
+
+    with pytest.raises(ValueError) as raised:
+        ScanSpec(steps=10**5000)
+    text = str(raised.value)
+    assert text == (f"steps=<an int of {(10**5000).bit_length()} bits> gives more than "
+                    f"{MAX_SCAN_CELLS}**2 cells, over the budget of {MAX_SCAN_CELLS}")
+    assert len(text.splitlines()) == 1 and len(text.encode()) < 200

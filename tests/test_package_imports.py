@@ -36,7 +36,7 @@ def test_no_module_imports_a_private_sibling_name():
 def test_only_scopes_picks_a_batched_solve():
     # A ProfileCache picks its batched solve from its mode, so no sibling of
     # scopes.py imports one.
-    batched = {"equilibrium_profiles", "planner_profiles"}
+    batched = {"planner_profiles"}
     offenders = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -721,3 +721,13 @@ def test_run_over_the_path_step_budget_is_refused_before_any_step(capsys, tmp_pa
     err = capsys.readouterr().err
     assert err == ("error: n_paths=1000000 at dt=1e-07 expect 1.83e+11 path-steps, "
                    "over the budget of 1e+10\n")
+
+
+def test_config_refuses_non_integer_path_counts_and_seeds():
+    # A float seed used to run as its floor, and a float or bool path count
+    # failed only inside the run, with a raw TypeError.
+    for kwargs, name in (({"seed": 1.5}, "seed"), ({"n_paths": 20.5}, "n_paths"),
+                         ({"n_paths": True}, "n_paths"), ({"seed": False}, "seed")):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            SimConfig(**kwargs)
+    assert SimConfig(n_paths=np.int64(20), seed=np.uint64(3)).n_paths == 20

@@ -18,6 +18,7 @@ from teamsearch.planner import (
     optimal_chain,
     planner_drawdown,
 )
+from teamsearch.scopes import ProfileCache
 from teamsearch.welfare import chain_welfare, equilibrium_payoffs
 
 WIDE = ScopeBounds(0.1, 10.0)
@@ -420,3 +421,15 @@ def test_optimal_chains_equal_one_chain_per_list():
     mixed = [costs for costs, _ in solved[:6]] + [lists[failing]] + [solved[6][0]]
     assert outcome(lambda: optimal_chains(mixed, ROOMY)) == singles[failing]
     assert optimal_chains([], ROOMY) == []
+
+
+def test_planner_drawdown_refuses_an_equilibrium_memo():
+    # An equilibrium memo holds equilibrium scopes, not the planner's: a link
+    # read through one would quietly take the wrong profiles.
+    costs = [ScaledExponential(1.0), ScaledExponential(1.0, beta=3.0)]
+    bounds = ScopeBounds(0.1, 10.0)
+    with pytest.raises(ValueError, match="ProfileCache"):
+        planner_drawdown((0, 1), (), costs, bounds, ProfileCache("eq"))
+    alone = planner_drawdown((0, 1), (), costs, bounds)
+    assert planner_drawdown((0, 1), (), costs, bounds, ProfileCache("sp")) == alone
+    assert alone == pytest.approx(1.8753, abs=1e-4)

@@ -25,7 +25,6 @@ from teamsearch.scopes import (
     ProfileCache,
     ScopeProfile,
     as_alliance,
-    equilibrium_profiles,
     equilibrium_scopes,
     interior_capacity,
     planner_profiles,
@@ -369,8 +368,7 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
     rows = scopes_module.PASS_ROWS
     seen = set()
     for bounds, problems in _problem_sets(seed):
-        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
-                            (planner_scopes, planner_profiles)):
+        for solve, many in ((equilibrium_scopes, None), (planner_scopes, planner_profiles)):
             # A single solve is a pass of one; it must equal the pre-batching solver.
             single = [_solve_or_error(solve, a, c, bounds) for a, c in problems]
             reference = REFERENCE[solve]
@@ -380,15 +378,16 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
                     assert (type(alone), str(alone)) == (type(want), str(want))
                 else:
                     assert alone == want
-            batched = many(problems, bounds)
-            assert len(batched) == len(problems)
-            for start in range(0, len(problems), rows):
-                part = single[start:start + rows]
-                failed = any(isinstance(s, Exception) for s in part)
-                for alone, together in zip(part, batched[start:start + rows]):
-                    # A pass that raises stores nothing; otherwise every field
-                    # (per_agent, total, warnings, residual, ...) is equal.
-                    assert together is None if failed else together == alone
+            if many is not None:  # only the planner solves in batched passes
+                batched = many(problems, bounds)
+                assert len(batched) == len(problems)
+                for start in range(0, len(problems), rows):
+                    part = single[start:start + rows]
+                    failed = any(isinstance(s, Exception) for s in part)
+                    for alone, together in zip(part, batched[start:start + rows]):
+                        # A pass that raises stores nothing; otherwise every field
+                        # (per_agent, total, warnings, residual, ...) is equal.
+                        assert together is None if failed else together == alone
             for s in single:
                 if isinstance(s, Exception):
                     seen.add("error")
@@ -397,6 +396,11 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
                 if any(v in (bounds.lo, bounds.hi) for v in s.per_agent.values()):
                     seen.add("bound")
     assert seen >= {"error", "bound", "multiple", "reply", "optimality"}
+
+
+def _each_alone(problems, bounds):
+    """``equilibrium_scopes`` of each problem: equilibrium problems are solved one at a time."""
+    return [equilibrium_scopes(a, c, bounds) for a, c in problems]
 
 
 def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
@@ -419,8 +423,7 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
     monkeypatch.setattr(this, "_reference_roots",
                         capturing(_reference_roots, captured["reference"]))
     for bounds, problems in _problem_sets(3):
-        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
-                            (planner_scopes, planner_profiles)):
+        for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
@@ -437,20 +440,21 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
 
 def test_prefetch_leaves_failed_problems_to_a_single_solve():
     good = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
-    bad = [AffineQuadratic(1.0, 0.0, 1.0)]
-    cache = ProfileCache("eq")
-    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], WIDE)
-    with pytest.raises(SolverError) as batched:
-        cache.profile((0,), bad, WIDE)
-    with pytest.raises(SolverError) as alone:
-        equilibrium_scopes((0,), bad, WIDE)
+    # The overflow case of test_planner_gap_overflow_raises_the_guarded_cost_error.
+    bad, bounds = [ScaledPower(a=5e305, p=2.0)], ScopeBounds(0.1, 100.0)
+    cache = ProfileCache("sp")
+    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], bounds)
+    with pytest.raises(CostDomainError) as batched:
+        cache.profile((0,), bad, bounds)
+    with pytest.raises(CostDomainError) as alone:
+        planner_scopes((0,), bad, bounds)
     assert str(batched.value) == str(alone.value)
     # The memo is keyed by member specs and bounds, so another cost list
     # reuses a profile and other bounds do not.
-    assert cache.profile((0,), [good[0], bad[0]], WIDE) is cache.profile((0,), good, WIDE)
-    narrow = ScopeBounds(0.1, 1.5)
-    assert cache.profile((0,), good, narrow) == equilibrium_scopes((0,), good, narrow)
-    assert cache.profile((0,), good, narrow) != cache.profile((0,), good, WIDE)
+    assert cache.profile((0,), [good[0], bad[0]], bounds) is cache.profile((0,), good, bounds)
+    narrow = ScopeBounds(0.1, 3.0)
+    assert cache.profile((0,), good, narrow) == planner_scopes((0,), good, narrow)
+    assert cache.profile((0,), good, narrow) != cache.profile((0,), good, bounds)
 
 
 # The single-problem solvers as they were before batched passes, kept
@@ -741,8 +745,7 @@ def test_stacked_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
                         capturing(_reference_roots, captured["reference"]))
     compared = 0
     for bounds, problems in _stacked_problem_sets(5):
-        for solve, many in ((equilibrium_scopes, equilibrium_profiles),
-                            (planner_scopes, planner_profiles)):
+        for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
@@ -828,13 +831,12 @@ def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatc
             orders.append(order)
             yield order, spec
 
-    for many in (equilibrium_profiles, planner_profiles):
-        before = dict(zip(map(repr, cell_major), many(cell_major, WIDE)))
-        monkeypatch.setattr(scopes_module, "_by_term", recording)
-        after = dict(zip(map(repr, alliance_major), many(alliance_major, WIDE)))
-        monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
-        assert None not in after.values()
-        assert after == before
+    before = dict(zip(map(repr, cell_major), planner_profiles(cell_major, WIDE)))
+    monkeypatch.setattr(scopes_module, "_by_term", recording)
+    after = dict(zip(map(repr, alliance_major), planner_profiles(alliance_major, WIDE)))
+    monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
+    assert None not in after.values()
+    assert after == before
     assert len(cells) == 43 and len(orders) == 90
     assert all(isinstance(order, slice) for order in orders)
 
@@ -1008,3 +1010,14 @@ def test_planner_pass_takes_each_stack_once_per_row_set(monkeypatch):
     assert yields[0] > 2 * len(takes)  # the rounds reuse the grid call's groups
     for (alliance, costs), prof in zip(problems, profiles):
         assert prof == planner_scopes(alliance, costs, WIDE)
+
+
+def test_only_a_planner_cache_prefetches():
+    # Equilibrium problems are solved one at a time, so an equilibrium memo
+    # refuses a batched solve and stays empty.
+    costs = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
+    cache = ProfileCache("eq")
+    with pytest.raises(ValueError, match="only a planner ProfileCache prefetches"):
+        cache.prefetch([((0, 1), costs), ((1,), costs)], WIDE)
+    assert cache._profiles == {}
+    assert cache.profile((0, 1), costs, WIDE) == equilibrium_scopes((0, 1), costs, WIDE)

@@ -19,16 +19,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Alliances each batched pass is given, by mode, as they are solved."""
+    """Alliances solved, by mode: each equilibrium solve's, and each planner pass's."""
     seen = {"eq": [], "sp": []}
-    for mode, name in (("eq", "_equilibrium_pass"), ("sp", "_planner_pass")):
-        real = getattr(scopes_module, name)
+    real_eq, real_sp = scopes_module.equilibrium_scopes, scopes_module._planner_pass
 
-        def counting(problems, bounds, real=real, into=seen[mode]):
-            into += [tuple(alliance) for alliance, _ in problems]
-            return real(problems, bounds)
+    def solving(alliance, costs, bounds):
+        seen["eq"].append(tuple(alliance))
+        return real_eq(alliance, costs, bounds)
 
-        monkeypatch.setattr(scopes_module, name, counting)
+    def passing(problems, bounds):
+        seen["sp"].extend(tuple(alliance) for alliance, _ in problems)
+        return real_sp(problems, bounds)
+
+    monkeypatch.setattr(scopes_module, "equilibrium_scopes", solving)
+    monkeypatch.setattr(scopes_module, "_planner_pass", passing)
     return seen
 
 
