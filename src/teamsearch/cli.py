@@ -404,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser = sub.add_parser("simulate", help="Monte Carlo vs analytic values")
     add_common(sim_parser, ("eq", "sp", "penalty"))
     sim_parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    sim_parser.add_argument("--strict", action="store_true", help="escalate censoring to an error")
+    sim_parser.add_argument("--strict", action="store_true",
+                            help="escalate censoring and coarse-step warnings to errors")
     sim_parser.add_argument("--dump-samples", default=None, help="write per-path samples here")
     scan_parser = sub.add_parser("scan", help="exit-pattern region grid")
     add_common(scan_parser, None)

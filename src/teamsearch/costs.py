@@ -56,6 +56,10 @@ class ScopeBounds:
     hi: float
 
     def __post_init__(self) -> None:
+        for value in (self.lo, self.hi):  # a bool is an int, but no bound
+            numeric = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not numeric:
+                raise ValueError(f"scope bounds must be numbers, got {type(value).__name__}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("scope bounds must be finite")
         if self.lo < SCOPE_FLOOR:

@@ -5,7 +5,10 @@ each agent's best reply to an alliance total S is the bound-clipped scope
 where 2*c/c' matches S, and the fixed point is a zero of
 h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
-2*total_cost = lambda * total_scope is solved for lambda.
+2*total_cost = lambda * total_scope is solved for lambda.  A planner problem
+whose members all have exponential costs takes lambda in closed form when
+that leaves every scope strictly inside the bounds, where it is the only
+root, and builds no grid; every other problem is solved on the grid.
 
 Equilibrium problems are solved one at a time, each on one grid row (a
 cascade learns its next alliance only from the solve before); batched
@@ -15,7 +18,8 @@ call per cost family (and power exponent) at a position, on a spec stacked
 over that group's rows, where a stack of one spec is that spec.  A position
 groups its specs once per set of rows, so the grid call and every round in
 which each row keeps one bracket reuse the same groups.  A single planner
-solve is a pass of one problem.  Each row does the arithmetic of a solve
+solve is a pass of one problem; a pass puts only its rows that take no
+closed form on its grid.  Each row does the arithmetic of a solve
 alone, so a profile does not depend on its batch.  A group whose rows are
 one run (prefetch lists problems largest alliance first) is read and summed
 through a row slice, not an index array.  The planner gap takes one error
@@ -29,13 +33,14 @@ have the same reply keys and share specs alike.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, ScopeBounds, SpecStack
+from .costs import SCALAR_LOG_LIMIT, CostSpec, ScaledExponential, ScopeBounds, SpecStack
 from .errors import SolverError, TeamSearchError
 
 Alliance = tuple[int, ...]
@@ -320,12 +325,54 @@ def equilibrium_scopes(
     )
 
 
+def _clipped_scopes(specs: dict[int, CostSpec], lam: float, bounds: ScopeBounds) -> dict:
+    return {i: bounds.clip(spec.inverse_marginal(lam)) for i, spec in specs.items()}
+
+
+def _exponential_profile(specs: dict[int, CostSpec], bounds: ScopeBounds) -> ScopeProfile | None:
+    """The profile at the closed-form multiplier of an all-exponential row
+    whose scopes it leaves strictly inside the bounds; None for every other row.
+
+    With every scope interior, c'(sigma_i) = lam gives C_i = lam / b_i, so
+    2 * sum(C) = lam * S solves to log lam = (2W - sum(log(beta_i / b_i) / b_i)) / W
+    with W = sum(1 / b_i).  A row with a spec outside the family's rules
+    (b > 0, beta >= 1) or whose exponent leaves the float range gets None, and
+    so the grid and its error.
+    """
+    if not all(isinstance(spec, ScaledExponential) and spec.b > 0 and spec.beta >= 1
+               for spec in specs.values()):
+        return None
+    w = sum(1.0 / spec.b for spec in specs.values())
+    log_lam = (2.0 * w - sum(math.log(spec.beta / spec.b) / spec.b for spec in specs.values())) / w
+    if not abs(log_lam) < SCALAR_LOG_LIMIT:  # nan included
+        return None
+    lam = math.exp(log_lam)
+    with np.errstate(all="ignore"):  # a scope far out of bounds may be +-inf
+        sig = _clipped_scopes(specs, lam, bounds)
+    if not all(bounds.lo < s < bounds.hi for s in sig.values()):
+        return None
+    return _planner_profile(specs, lam, sig, ())
+
+
 def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
     rows = _problem_specs(problems)
-    # c' at each bound, once per distinct spec, all at lo first as a single solve does.
+    # c' at each bound, once per distinct spec, all at lo first as a single solve
+    # does, and for closed-form rows too, so that they raise where the grid would.
     distinct = dict.fromkeys(spec for specs in rows for spec in specs.values())
     at_lo = {spec: spec.marginal(bounds.lo) for spec in distinct}
     at_hi = {spec: spec.marginal(bounds.hi) for spec in distinct}
+    # For exponential costs, gap / lam = sum(2 C_i / lam - sigma_i) strictly falls
+    # in lam (an interior term is (2 - log(lam beta_i / b_i)) / b_i, a clipped one
+    # 2 c(bound) / lam - bound), so a closed-form multiplier is the only root.
+    closed = [_exponential_profile(specs, bounds) for specs in rows]
+    open_rows = [specs for specs, prof in zip(rows, closed) if prof is None]
+    solved = iter(_grid_profiles(open_rows, at_lo, at_hi, bounds) if open_rows else ())
+    return [next(solved) if prof is None else prof for prof in closed]
+
+
+def _grid_profiles(rows: list[dict[int, CostSpec]], at_lo: dict, at_hi: dict,
+                   bounds: ScopeBounds) -> list[ScopeProfile]:
+    """Profiles of rows solved on a multiplier grid, refined by k-section."""
     lam_lo = [0.999 * min(at_lo[spec] for spec in specs.values()) for specs in rows]
     lam_hi = [1.001 * max(at_hi[spec] for spec in specs.values()) for specs in rows]
     grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
@@ -346,17 +393,16 @@ def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
         return cost_sum
 
     roots, gaps = _roots(gap, grids)
-    return [
-        _planner_profile(specs, grid, roots[r], gaps[r], bounds, lambda x, at, r=r: gap(x, at + r))
-        for r, (specs, grid) in enumerate(zip(rows, grids))
-    ]
+    out = []
+    for r, (specs, grid) in enumerate(zip(rows, grids)):
+        lam, warnings = _grid_multiplier(grid, roots[r], gaps[r], lambda x, at, r=r: gap(x, at + r))
+        out.append(_planner_profile(specs, lam, _clipped_scopes(specs, lam, bounds), warnings))
+    return out
 
 
-def _planner_profile(
-    specs: dict[int, CostSpec], lam_grid: np.ndarray, roots: list[float], g_grid: np.ndarray,
-    bounds: ScopeBounds, gap,
-) -> ScopeProfile:
-    members = tuple(specs)
+def _grid_multiplier(lam_grid: np.ndarray, roots: list[float], g_grid: np.ndarray,
+                     gap) -> tuple[float, tuple[str, ...]]:
+    """The multiplier a grid row's roots give, and the warnings of the pick."""
     warnings: list[str] = []
     if not roots:
         raise SolverError(
@@ -394,8 +440,13 @@ def _planner_profile(
             + str([round(r, 12) for r in roots])
             + "; selected smallest"
         )
+    return lam, tuple(warnings)
 
-    sig = {i: bounds.clip(spec.inverse_marginal(lam)) for i, spec in specs.items()}
+
+def _planner_profile(specs: dict[int, CostSpec], lam: float, sig: dict[int, float],
+                     warnings: tuple[str, ...]) -> ScopeProfile:
+    """The profile of scopes ``sig`` at multiplier ``lam``, its residual checked."""
+    members = tuple(specs)
     total = sum(sig.values())
     residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
     if residual > 1e-10 * max(1.0, lam * total):
@@ -409,7 +460,7 @@ def _planner_profile(
         interior=interior,
         degenerate=False,
         residual=residual,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 
@@ -458,6 +509,8 @@ class ProfileCache:
     """
 
     def __init__(self, mode: str):
+        if mode not in ("eq", "sp"):  # compared, not hashed: any value gets this line
+            raise ValueError(f"ProfileCache mode must be 'eq' or 'sp', got {mode!r}")
         self.mode = mode
         self.solve, self._key = {"eq": (equilibrium_scopes, _reply_pattern),
                                  "sp": (planner_scopes, _member_specs)}[mode]

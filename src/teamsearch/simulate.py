@@ -80,6 +80,9 @@ BLOCK = 10_000
 # cores it broke even at about 0.5-0.7 million path-steps.
 POOL_WORK = 1_000_000
 CENSOR_WARN_FRACTION = 0.01
+# Fewest expected steps a phase may have without a warning (see simulate_phases).
+# The shortest phase of the shipped scenarios, golden runs and benchmark has 183.
+MIN_PHASE_STEPS = 50
 # Largest horizon, in steps, a run may have; checked before any path is drawn.
 # The shipped scenarios, tests and benchmark stay below 10**6 steps.
 MAX_STEPS = 10**8
@@ -103,11 +106,19 @@ class SimConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        # Checked by type, not coerced: True is no step size and 'no' is no switch.
+        numbers = (int, float, np.integer, np.floating)
+        integers, bools = (int, np.integer), (bool, np.bool_)
+        for name, types, kind in (
+            ("dt", numbers, "a number"), ("t_max", (*numbers, type(None)), "a number or None"),
+            ("n_paths", integers, "an integer"), ("seed", integers, "an integer"),
+            ("bridge_correction", bools, "a bool"), ("strict", bools, "a bool"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
         if not 0.0 < self.dt < math.inf:
             raise ValidationError("dt must be positive and finite")
-        for name, value in (("n_paths", self.n_paths), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be at least 1")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
@@ -180,11 +191,15 @@ class SimOutcome:
         )
 
 
+def _phase_durations(phases: Sequence[Phase]) -> list[float]:
+    starts = [0.0, *(p.trigger for p in phases[:-1])]
+    return [phase_stats(start, p.trigger, p.scope)[1] for start, p in zip(starts, phases)]
+
+
 def _expected_duration(phases: Sequence[Phase]) -> float:
-    total, start = 0.0, 0.0
-    for p in phases:  # not sum(), which compensates from Python 3.12 and so moves bits
-        total += phase_stats(start, p.trigger, p.scope)[1]
-        start = p.trigger
+    total = 0.0
+    for duration in _phase_durations(phases):  # not sum(), which compensates from Python 3.12
+        total += duration
     return total
 
 
@@ -396,6 +411,15 @@ def simulate_phases(phases: Sequence[Phase], config: SimConfig) -> SimOutcome:
     frac = float(censored.mean())
     if frac > CENSOR_WARN_FRACTION:
         msg = f"{frac:.2%} of paths hit the horizon t_max={t_max:.6g} before finishing"
+        if config.strict:
+            raise SimulationError(msg)
+        warnings.append(msg)
+    # A phase of few expected steps stops late by a large share of its
+    # duration, so its payoffs miss the closed form by far more than the SE.
+    steps, k = min((d / dt, k) for k, d in enumerate(_phase_durations(phases)))
+    if steps < MIN_PHASE_STEPS:
+        msg = (f"phase {k + 1} lasts {steps:.3g} expected steps of dt={dt:.6g}, "
+               f"under {MIN_PHASE_STEPS}; a step this coarse biases its stops")
         if config.strict:
             raise SimulationError(msg)
         warnings.append(msg)

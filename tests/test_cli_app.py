@@ -689,3 +689,21 @@ def test_scan_budget_error_names_the_budget_for_a_step_count_too_long_to_print()
     assert text == (f"steps=<an int of {(10**5000).bit_length()} bits> gives more than "
                     f"{MAX_SCAN_CELLS}**2 cells, over the budget of {MAX_SCAN_CELLS}")
     assert len(text.splitlines()) == 1 and len(text.encode()) < 200
+
+
+def test_coarse_step_is_named_and_strict_refuses_it(tmp_path):
+    # Three affine agents whose one phase lasts 2 expected steps of dt = 0.25:
+    # every check fails against a correct closed form, and a warning says why.
+    agent = {"family": "affine_quadratic", "a2": 1.0, "a1": 0.0, "a0": 1.0}
+    doc = {"agents": [agent] * 3, "scope_bounds": {"lo": 0.1, "hi": 0.9},
+           "sim": {"dt": 0.25, "n_paths": 2000, "seed": 3, "bridge_correction": True}}
+    path = write_scenario(tmp_path, doc)
+    text = ("phase 1 lasts 2 expected steps of dt=0.25, under 50; "
+            "a step this coarse biases its stops")
+    result = run_cli("simulate", path, "--mode", "eq")
+    rows, comments = parse_table(result.stdout)
+    assert result.returncode == 0
+    assert {row[-1] for row in rows[1:]} == {"FAIL"}
+    assert comments[-1] == f"# warning: {text}"
+    strict = run_cli("simulate", path, "--mode", "eq", "--strict")
+    assert (strict.returncode, strict.stdout, strict.stderr) == (1, "", f"error: {text}\n")

@@ -276,3 +276,11 @@ def test_log_convexity_flag_where_cost_products_overflow(spec, bounds, log_conve
     report = validate_cost(spec, bounds)
     assert report.valid, report.issues
     assert report.log_convex is log_convex
+
+
+def test_scope_bounds_refuse_bools_and_keep_ints():
+    for lo, hi in ((True, 2.0), (0.1, True), (0.1, False), ("0.1", 2.0)):
+        with pytest.raises(ValueError, match="scope bounds must be numbers, got "):
+            ScopeBounds(lo, hi)
+    bounds = ScopeBounds(1, 10)
+    assert (bounds.lo, bounds.hi) == (1.0, 10.0) and type(bounds.lo) is float

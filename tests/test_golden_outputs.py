@@ -4,7 +4,8 @@
 ``solve`` and ``schedule`` (both modes) in ``<scenario>.<command>.txt``, and
 ``runs.json`` with each run's exit code and stderr and the sha256 of the CSV
 of a 24-step ``scan`` of ``scenarios/scan.json``.  The sha256 of that scan's
-``--svg`` drawing is SCAN_SVG_SHA256 below.  Re-record the files, from the
+``--svg`` drawing is SCAN_SVG_SHA256 below, and that of the CSV of the
+shipped 96-step scan is FULL_SCAN_SHA256.  Re-record the files, from the
 tree on the path, with::
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -37,6 +38,7 @@ COMMANDS = {
 }
 SCAN_STEPS = 24
 SCAN_SVG_SHA256 = "8f7a6fc2d2569240a46613dbfe443d72823536627555b8872aabab7e89ed6ce8"
+FULL_SCAN_SHA256 = "de03c09b34270224d0b7292b67c883406193e840d1150f681bdc68ecfc71d055"
 RUNS = [(path.stem, name) for path in sorted(SCENARIOS.glob("*.json")) for name in COMMANDS]
 
 
@@ -83,6 +85,13 @@ def test_scan_csv_is_unchanged():
 
 def test_scan_svg_is_unchanged():
     assert scan_digests()[1] == SCAN_SVG_SHA256
+
+
+def test_full_scan_csv_is_unchanged():
+    # scenarios/scan.json as shipped: 96 steps, 9,216 cells.
+    code, out, err = run(["scan", str(SCENARIOS / "scan.json")])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FULL_SCAN_SHA256
 
 
 def record() -> None:

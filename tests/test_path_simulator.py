@@ -29,10 +29,12 @@ from teamsearch.simulate import (
     CENSOR_WARN_FRACTION,
     CHUNK,
     MAX_STEPS,
+    MIN_PHASE_STEPS,
     Phase,
     SimConfig,
     SimOutcome,
     _expected_duration,
+    _phase_durations,
     simulate_phases,
     simulate_schedule,
     stopped_max_distribution_test,
@@ -224,7 +226,9 @@ def reference_simulate_phases(phases, agents, config):
     """The step-at-a-time engine, kept verbatim as a test oracle.
 
     Each step is one round of numpy calls over all live paths; the chunked
-    engine must reproduce its outcomes bit for bit.
+    engine must reproduce its outcomes bit for bit.  The one addition is the
+    engine's coarse-step warning, given (or raised, if strict) after the
+    censoring one.
     """
     n = config.n_paths
     n_waves = len(phases)
@@ -309,6 +313,13 @@ def reference_simulate_phases(phases, agents, config):
     frac = float(censored.mean())
     if frac > CENSOR_WARN_FRACTION:
         msg = f"{frac:.2%} of paths hit the horizon t_max={t_max:.6g} before finishing"
+        if config.strict:
+            raise SimulationError(msg)
+        warnings.append(msg)
+    steps, k = min((d / dt, k) for k, d in enumerate(_phase_durations(phases)))
+    if steps < MIN_PHASE_STEPS:
+        msg = (f"phase {k + 1} lasts {steps:.3g} expected steps of dt={dt:.6g}, "
+               f"under {MIN_PHASE_STEPS}; a step this coarse biases its stops")
         if config.strict:
             raise SimulationError(msg)
         warnings.append(msg)
@@ -731,3 +742,41 @@ def test_config_refuses_non_integer_path_counts_and_seeds():
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             SimConfig(**kwargs)
     assert SimConfig(n_paths=np.int64(20), seed=np.uint64(3)).n_paths == 20
+
+
+def test_coarse_phase_warns_and_strict_raises():
+    # The first of two phases lasts 0.25**2 / 1.0**2 = 0.0625 time units:
+    # 31.25 steps at dt = 2e-3, under MIN_PHASE_STEPS = 50; at 1e-3, 62.5.
+    phases = nested_phases([0.25, 1.0], [1.0, 0.5])
+    text = ("phase 1 lasts 31.2 expected steps of dt=0.002, under 50; "
+            "a step this coarse biases its stops")
+    assert simulate_phases(phases, SimConfig(dt=2e-3, n_paths=50, seed=1)).warnings == (text,)
+    assert simulate_phases(phases, SimConfig(dt=1e-3, n_paths=50, seed=1)).warnings == ()
+    with pytest.raises(SimulationError, match="^phase 1 lasts 31.2 expected steps"):
+        simulate_phases(phases, SimConfig(dt=2e-3, n_paths=50, seed=1, strict=True))
+
+
+def test_strict_raises_censoring_before_a_coarse_step():
+    # Both warnings apply; strict raises the censoring one, as before.
+    phases = nested_phases([0.25], [1.0])
+    lax = simulate_phases(phases, SimConfig(dt=2e-3, n_paths=100, seed=1, t_max=0.01))
+    assert len(lax.warnings) == 2 and "hit the horizon" in lax.warnings[0]
+    assert lax.warnings[1].startswith("phase 1 lasts")
+    with pytest.raises(SimulationError, match="hit the horizon"):
+        simulate_phases(phases, SimConfig(dt=2e-3, n_paths=100, seed=1, t_max=0.01, strict=True))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", True), ("dt", "0.1"), ("dt", None), ("t_max", True), ("t_max", "1"),
+    ("bridge_correction", "no"), ("bridge_correction", 1), ("strict", 1), ("strict", None),
+])
+def test_config_refuses_values_it_would_coerce(field, value):
+    with pytest.raises(ValidationError) as raised:
+        SimConfig(**{field: value})
+    assert str(raised.value).startswith(f"{field} must be ")
+    assert str(raised.value).endswith(f", got {value!r}")
+
+
+def test_config_takes_ints_and_numpy_values():
+    config = SimConfig(dt=1, t_max=np.float64(2.5), bridge_correction=np.bool_(True), strict=False)
+    assert (config.dt, config.t_max, bool(config.bridge_correction)) == (1, 2.5, True)

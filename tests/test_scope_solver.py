@@ -374,7 +374,9 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
             reference = REFERENCE[solve]
             for (a, c), alone in zip(problems, single):
                 want = _solve_or_error(reference, a, c, bounds)
-                if isinstance(want, Exception):
+                if solve is planner_scopes and _matches_reference(alone, want, a, c, bounds):
+                    seen.add("closed")
+                elif isinstance(want, Exception):
                     assert (type(alone), str(alone)) == (type(want), str(want))
                 else:
                     assert alone == want
@@ -395,7 +397,65 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
                 seen.update(w.split(" ")[0] for w in s.warnings)
                 if any(v in (bounds.lo, bounds.hi) for v in s.per_agent.values()):
                     seen.add("bound")
-    assert seen >= {"error", "bound", "multiple", "reply", "optimality"}
+    assert seen >= {"error", "bound", "multiple", "reply", "optimality", "closed"}
+
+
+def _builds_grid(alliance, costs, bounds) -> bool:
+    """Whether a planner solve of the problem alone calls ``_roots``, solved or not."""
+    calls = []
+    real = scopes_module._roots
+
+    def roots(fn, grid):
+        calls.append(grid.shape)
+        return real(fn, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scopes_module, "_roots", roots)
+        _solve_or_error(planner_scopes, alliance, costs, bounds)
+    return bool(calls)
+
+
+def _closed_form_multiplier(specs) -> float:
+    """The paper's multiplier of an all-exponential team with every scope interior:
+    log lam = (2W - sum(log(beta_i / b_i) / b_i)) / W with W = sum(1 / b_i)."""
+    b, beta = (np.array([getattr(s, name) for s in specs]) for name in ("b", "beta"))
+    w = np.sum(1.0 / b)
+    return float(np.exp((2.0 * w - np.sum(np.log(beta / b) / b)) / w))
+
+
+def _assert_interior_kkt(profile, specs, bounds) -> None:
+    """The planner's conditions with every scope interior: c'(sigma_i) = lam, 2 sum C = lam S."""
+    lam = _closed_form_multiplier(specs)
+    sig = profile.scopes()
+    assert ((bounds.lo < sig) & (sig < bounds.hi)).all()
+    for spec, s in zip(specs, sig):
+        assert abs(spec.marginal(s) - lam) <= 1e-12 * lam
+    cost = sum(spec.cost(s) for spec, s in zip(specs, sig))
+    assert abs(2.0 * cost - lam * profile.total) <= 1e-12 * max(1.0, lam * profile.total)
+
+
+def _matches_reference(alone, want, alliance, costs, bounds) -> bool:
+    """True, after checking it, when the planner took the closed form for the
+    problem: no grid, an all-exponential team, the reference's flags and
+    warnings, its scopes to the solver's residual bound (1e-10 relative) and
+    the KKT conditions.  False for a grid row, which the caller compares bit
+    for bit; an all-exponential optimum clearly inside the bounds is no grid row.
+    """
+    specs = [costs[i] for i in as_alliance(alliance)]
+    exponential = all(isinstance(spec, ScaledExponential) for spec in specs)
+    if _builds_grid(alliance, costs, bounds):
+        assert not (exponential and isinstance(want, ScopeProfile) and all(
+            bounds.lo + 1e-9 * bounds.lo < s < bounds.hi - 1e-9 * bounds.hi
+            for s in want.per_agent.values()))
+        return False
+    assert exponential and isinstance(want, ScopeProfile)
+    assert (alone.interior, alone.degenerate, alone.warnings) == (
+        want.interior, want.degenerate, want.warnings)
+    assert list(alone.per_agent) == list(want.per_agent)
+    for got, ref in zip(alone.scopes(), want.scopes()):
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+    _assert_interior_kkt(alone, specs, bounds)
+    return True
 
 
 def _each_alone(problems, bounds):
@@ -422,20 +482,29 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
                         capturing(scopes_module._roots, captured["batched"]))
     monkeypatch.setattr(this, "_reference_roots",
                         capturing(_reference_roots, captured["reference"]))
+    closed = 0
     for bounds, problems in _problem_sets(3):
         for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
             ]
+            # A closed-form planner row builds no grid: only the others' grids are compared.
+            gridded = [solve is equilibrium_scopes or _builds_grid(a, c, bounds)
+                       for a, c in solvable]
             captured["batched"].clear()
             captured["reference"].clear()
-            for a, c in solvable:
-                REFERENCE[solve](a, c, bounds)
-            assert all(p is not None for p in many(solvable, bounds))
-            assert len(captured["batched"]) == len(captured["reference"]) == len(solvable)
-            for got, want in zip(captured["batched"], captured["reference"]):
+            references = [REFERENCE[solve](a, c, bounds) for a, c in solvable]
+            profiles = many(solvable, bounds)
+            assert all(p is not None for p in profiles)
+            want_grids = [g for g, on in zip(captured["reference"], gridded) if on]
+            assert len(captured["batched"]) == len(want_grids) == sum(gridded)
+            for got, want in zip(captured["batched"], want_grids):
                 assert got.tobytes() == want.tobytes()
+            for (a, c), prof, ref, on in zip(solvable, profiles, references, gridded):
+                if not on:
+                    closed += _matches_reference(prof, ref, a, c, bounds)
+    assert closed > 0
 
 
 def test_prefetch_leaves_failed_problems_to_a_single_solve():
@@ -454,7 +523,7 @@ def test_prefetch_leaves_failed_problems_to_a_single_solve():
     assert cache.profile((0,), [good[0], bad[0]], bounds) is cache.profile((0,), good, bounds)
     narrow = ScopeBounds(0.1, 3.0)
     assert cache.profile((0,), good, narrow) == planner_scopes((0,), good, narrow)
-    assert cache.profile((0,), good, narrow) != cache.profile((0,), good, bounds)
+    assert cache.profile((0,), good, narrow) is not cache.profile((0,), good, bounds)
 
 
 # The single-problem solvers as they were before batched passes, kept
@@ -743,22 +812,30 @@ def test_stacked_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
                         capturing(scopes_module._roots, captured["batched"]))
     monkeypatch.setattr(this, "_reference_roots",
                         capturing(_reference_roots, captured["reference"]))
-    compared = 0
+    compared = closed = 0
     for bounds, problems in _stacked_problem_sets(5):
         for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
             ]
+            gridded = [solve is equilibrium_scopes or _builds_grid(a, c, bounds)
+                       for a, c in solvable]
             captured["batched"].clear()
             captured["reference"].clear()
             references = [REFERENCE[solve](a, c, bounds) for a, c in solvable]
-            assert many(solvable, bounds) == references
-            assert len(captured["batched"]) == len(captured["reference"]) == len(solvable)
-            for got, want in zip(captured["batched"], captured["reference"]):
+            profiles = many(solvable, bounds)
+            for (a, c), prof, ref, on in zip(solvable, profiles, references, gridded):
+                if on:
+                    assert prof == ref
+                else:
+                    closed += _matches_reference(prof, ref, a, c, bounds)
+            want_grids = [g for g, on in zip(captured["reference"], gridded) if on]
+            assert len(captured["batched"]) == len(want_grids) == sum(gridded)
+            for got, want in zip(captured["batched"], want_grids):
                 assert got.tobytes() == want.tobytes()
-            compared += len(solvable)
-    assert compared > 200
+            compared += sum(gridded)
+    assert compared > 200 and closed > 0
     assert stacked == {"ScaledExponential", "ScaledPower", "AffineQuadratic"}
 
 
@@ -811,15 +888,20 @@ def test_planner_gap_overflow_raises_the_guarded_cost_error():
     assert planner_profiles([((0,), costs)], bounds) == [None]
 
 
+def _mixed_scan_row():
+    """The cells of one row (beta3 = 12) of the 96-step scenarios/scan.json,
+    with agent 3 an affine agent: every suffix alliance has a non-exponential
+    member, so every planner row takes the grid (and each has one root)."""
+    return [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
+             AffineQuadratic(1.0, 0.0, 0.01)]
+            for b2 in np.arange(1, 97) * 0.25 if 12.0 > b2 > 1.0]
+
+
 def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatch):
-    # One row of the 96-step scenarios/scan.json (beta3 = 12): cell-major is
-    # how the row's problems were once listed, alliance-major how scan lists
-    # them.  Alliance-major, every member position's terms are one run of
-    # rows, so the pass reads them through slices.
-    b3 = 12.0
-    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
-              ScaledExponential(b=1.0, beta=b3)]
-             for b2 in np.arange(1, 97) * 0.25 if b3 > b2 > 1.0]
+    # A scan-like row: cell-major is how the row's problems were once listed,
+    # alliance-major how scan lists them.  Alliance-major, every member
+    # position's terms are one run of rows, so the pass reads them through slices.
+    cells = _mixed_scan_row()
     alliances = ((0, 1, 2), (1, 2), (2,))
     cell_major = [(a, c) for c in cells for a in alliances]
     alliance_major = [(a, c) for a in alliances for c in cells]
@@ -837,18 +919,15 @@ def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatc
     monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
     assert None not in after.values()
     assert after == before
-    assert len(cells) == 43 and len(orders) == 90
+    assert len(cells) == 43 and len(orders) == 100
     assert all(isinstance(order, slice) for order in orders)
 
 
 def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
-    # The same scan row listed cell by cell: prefetch orders the problems
+    # The same scan-like row listed cell by cell: prefetch orders the problems
     # largest alliance first itself, so its passes still read every member
     # position's terms through slices, and each profile is a single solve's.
-    b3 = 12.0
-    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
-              ScaledExponential(b=1.0, beta=b3)]
-             for b2 in np.arange(1, 97) * 0.25 if b3 > b2 > 1.0]
+    cells = _mixed_scan_row()
     cell_major = [(a, c) for c in cells for a in ((0, 1, 2), (1, 2), (2,))]
     orders = []
     real_by_term = scopes_module._by_term
@@ -982,9 +1061,7 @@ def test_stacked_spec_keeps_signed_zeros_apart():
 def test_planner_pass_takes_each_stack_once_per_row_set(monkeypatch):
     # A pass groups its terms once per row set: the grid call and the rounds
     # in which every row keeps its one bracket reuse the grid call's groups.
-    cells = [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
-              ScaledExponential(b=1.0, beta=12.0)]
-             for b2 in np.arange(1, 97) * 0.25 if 12.0 > b2 > 1.0]
+    cells = _mixed_scan_row()
     problems = [(a, c) for a in ((0, 1, 2), (1, 2), (2,)) for c in cells]
     takes, stacks, yields = {}, [], [0]
     real_take = scopes_module.SpecStack.take
@@ -1021,3 +1098,149 @@ def test_only_a_planner_cache_prefetches():
         cache.prefetch([((0, 1), costs), ((1,), costs)], WIDE)
     assert cache._profiles == {}
     assert cache.profile((0, 1), costs, WIDE) == equilibrium_scopes((0, 1), costs, WIDE)
+
+
+@pytest.mark.parametrize("b", [0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0])
+def test_single_exponential_planner_scope_is_exactly_two_over_b(b):
+    # lam = b e^2 / beta, so sigma = log(lam beta / b) / b = 2 / b; the grid's
+    # k-section gave 1.9999999999999176 at b = 1.
+    profile = planner_scopes((0,), [ScaledExponential(b=b)], ScopeBounds(0.01, 50.0))
+    assert profile.per_agent == {0: 2.0 / b}
+    assert profile.interior and not profile.warnings
+
+
+def test_single_exponential_planner_scope_is_two_over_b_to_a_few_ulps():
+    # Other rates keep 2 / b to the rounding of the exp/log round trip.
+    for b in np.geomspace(0.05, 12.0, 97):
+        sigma = planner_scopes((0,), [ScaledExponential(b=float(b))], ScopeBounds(0.01, 50.0)).total
+        assert abs(sigma - 2.0 / b) <= 4 * math.ulp(2.0 / b)
+
+
+def test_closed_form_rows_meet_the_kkt_conditions_and_the_reference(monkeypatch):
+    # Random all-exponential rows with every scope inside the bounds: the
+    # reference's grid finds one root on each, and the closed form, which
+    # builds no grid, matches its profile to 1e-10 and meets the conditions.
+    this = sys.modules[__name__]
+    found = []
+    real = _reference_roots
+
+    def counting(fn, grid):
+        roots, values = real(fn, grid)
+        found.append(len(roots))
+        return roots, values
+
+    rng = np.random.default_rng(23)
+    bounds = ScopeBounds(0.01, 50.0)
+    checked = 0
+    for _ in range(300):
+        costs = [ScaledExponential(b=float(rng.uniform(0.2, 5.0)),
+                                   beta=float(rng.uniform(1.0, 30.0)))
+                 for _ in range(int(rng.integers(1, 7)))]
+        alliance = tuple(range(len(costs)))
+        found.clear()
+        monkeypatch.setattr(this, "_reference_roots", counting)
+        want = reference_planner_scopes(alliance, costs, bounds)
+        monkeypatch.undo()
+        if not all(bounds.lo < s < bounds.hi for s in want.per_agent.values()):
+            continue
+        assert found == [1]
+        assert _matches_reference(planner_scopes(alliance, costs, bounds), want, alliance, costs,
+                                  bounds)
+        checked += 1
+    assert checked > 150
+
+
+def test_closed_form_overflow_falls_to_the_grid_and_its_error():
+    # The closed-form exponent, about 711, is past the float range: the
+    # closed form declines the row rather than overflow, and the solve raises
+    # the guarded cost error of c' at lo, as the grid solver does.
+    costs, bounds = [ScaledExponential(b=1e308)], ScopeBounds(1e-9, 10.0)
+    assert scopes_module._exponential_profile({0: costs[0]}, bounds) is None
+    text = "ScaledExponential(b=1e+308, beta=1.0) produced a non-finite value at sigma=1e-09"
+    for solve in (planner_scopes, reference_planner_scopes):
+        with pytest.raises(CostDomainError) as raised:
+            solve((0,), costs, bounds)
+        assert str(raised.value) == text
+
+
+def test_pass_of_closed_form_and_grid_rows_equals_each_solve_alone():
+    exp = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.5),
+           ScaledExponential(b=2.0, beta=4.0)]
+    mixed = [ScaledPower(a=1.0, p=3.0), ScaledExponential(b=1.0, beta=3.0),
+             AffineQuadratic(1.0, 0.0, 0.01)]
+    problems = [((0, 1, 2), exp), ((0, 1, 2), mixed), ((1, 2), exp), ((1, 2), mixed),
+                ((0,), exp), ((2,), mixed), ((0, 2), exp), ((0, 1), mixed)]
+    gridded = [_builds_grid(a, c, WIDE) for a, c in problems]
+    assert gridded == [False, True, False, True, False, True, False, True]
+    assert planner_profiles(problems, WIDE) == [planner_scopes(a, c, WIDE) for a, c in problems]
+
+
+@pytest.mark.parametrize("costs, bounds", [
+    ([ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=1e4)], WIDE),  # agent 1 at lo
+    ([ScaledExponential(b=1.0, beta=2.0)], ScopeBounds(3.0, 10.0)),  # no root in the bracket
+], ids=["bound", "no-root"])
+def test_bound_touching_exponential_rows_keep_the_grid(monkeypatch, costs, bounds):
+    # A closed-form scope on or past a bound is not the optimum there: the row
+    # takes the grid and gives the reference's profile or error, bit for bit.
+    this = sys.modules[__name__]
+    captured = {"batched": [], "reference": []}
+
+    def capturing(real, into):
+        def roots(fn, grid):
+            found, values = real(fn, grid)
+            into.extend(np.atleast_2d(values))
+            return found, values
+        return roots
+
+    monkeypatch.setattr(scopes_module, "_roots",
+                        capturing(scopes_module._roots, captured["batched"]))
+    monkeypatch.setattr(this, "_reference_roots",
+                        capturing(_reference_roots, captured["reference"]))
+    alliance = tuple(range(len(costs)))
+    got = _solve_or_error(planner_scopes, alliance, costs, bounds)
+    want = _solve_or_error(reference_planner_scopes, alliance, costs, bounds)
+    if isinstance(want, Exception):
+        assert str(want).startswith("no planner multiplier")
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert bounds.lo in want.per_agent.values() and got == want
+    assert len(captured["batched"]) == len(captured["reference"]) == 1
+    assert captured["batched"][0].tobytes() == captured["reference"][0].tobytes()
+
+
+@pytest.mark.parametrize("b3", [1.5, 12.0, 17.25])
+def test_scan_row_builds_no_planner_grid(monkeypatch, b3):
+    # A row of the 96-step scenarios/scan.json whose planner optima are all
+    # interior (rows up to beta3 = 17.25; above, agent 1 of the costliest cells
+    # sits at lo and those rows take the grid): its chains make no _roots call.
+    from teamsearch.planner import optimal_chains
+
+    calls = []
+    real = scopes_module._roots
+    monkeypatch.setattr(scopes_module, "_roots",
+                        lambda fn, grid: calls.append(grid.shape) or real(fn, grid))
+    cells = [[ScaledExponential(b=1.0, beta=beta) for beta in (1.0, b2, b3)]
+             for b2 in np.arange(1, 97) * 0.25 if b3 > b2 > 1.0]
+    assert len(optimal_chains(cells, WIDE)) == len(cells) > 0 and calls == []
+
+
+def test_profile_cache_names_its_modes():
+    for mode in ("x", "SP", None, ["eq"]):
+        with pytest.raises(ValueError) as raised:
+            ProfileCache(mode)
+        assert str(raised.value) == f"ProfileCache mode must be 'eq' or 'sp', got {mode!r}"
+    assert ProfileCache("eq").mode == "eq" and ProfileCache("sp").mode == "sp"
+
+
+@pytest.mark.parametrize("spec", [ScaledExponential(b=0.0), ScaledExponential(b=1.0, beta=0.5)],
+                         ids=["b=0", "beta<1"])
+def test_exponential_specs_outside_the_rules_keep_the_grid(spec):
+    # The closed form takes only specs within the family's rules (b > 0,
+    # beta >= 1); any other keeps the grid solver's profile or error, bit for bit.
+    costs = [spec, ScaledExponential(b=1.0, beta=2.0)]
+    got = _solve_or_error(planner_scopes, (0, 1), costs, WIDE)
+    want = _solve_or_error(reference_planner_scopes, (0, 1), costs, WIDE)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
