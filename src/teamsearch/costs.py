@@ -60,7 +60,7 @@ class ScopeBounds:
             numeric = isinstance(value, (int, float, np.integer, np.floating))
             if isinstance(value, bool) or not numeric:
                 raise ValueError(f"scope bounds must be numbers, got {type(value).__name__}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (finite(self.lo) and finite(self.hi)):
             raise ValueError("scope bounds must be finite")
         if self.lo < SCOPE_FLOOR:
             raise ValueError(f"lower scope bound must be >= {SCOPE_FLOOR}")
@@ -73,6 +73,14 @@ class ScopeBounds:
 
     def clip(self, sigma: float) -> float:
         return min(max(sigma, self.lo), self.hi)
+
+
+def finite(x) -> bool:
+    """``math.isfinite``, but False for an int past the float range, not OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _scalar(x) -> bool:
@@ -101,7 +109,7 @@ class CostFamily:
     stack_scalars = ()
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, vars(self).values())):
+        if not all(map(finite, vars(self).values())):
             raise ValueError("parameters must be finite")
 
     @cached_property

@@ -6,9 +6,9 @@ where 2*c/c' matches S, and the fixed point is a zero of
 h(S) = sum of replies - S on [n*lo, n*hi].  For the planner, scopes are
 parametrized by a common marginal cost lambda and the optimality condition
 2*total_cost = lambda * total_scope is solved for lambda.  A planner problem
-whose members all have exponential costs takes lambda in closed form when
-that leaves every scope strictly inside the bounds, where it is the only
-root, and builds no grid; every other problem is solved on the grid.
+whose members all have exponential costs takes lambda in closed form on the
+segment of multipliers where the same members are clipped, and builds no
+grid; every other problem is solved on the grid.
 
 Equilibrium problems are solved one at a time, each on one grid row (a
 cascade learns its next alliance only from the solve before); batched
@@ -329,28 +329,82 @@ def _clipped_scopes(specs: dict[int, CostSpec], lam: float, bounds: ScopeBounds)
     return {i: bounds.clip(spec.inverse_marginal(lam)) for i, spec in specs.items()}
 
 
-def _exponential_profile(specs: dict[int, CostSpec], bounds: ScopeBounds) -> ScopeProfile | None:
-    """The profile at the closed-form multiplier of an all-exponential row
-    whose scopes it leaves strictly inside the bounds; None for every other row.
+def _segment_multiplier(interior: list, clipped: list[tuple[float, float]]) -> float | None:
+    """The root lam of 2 * sum(C) = lam * S with the exponential ``interior``
+    specs where c' = lam and each clipped member at its (bound, c(bound));
+    None when it leaves the float range.
 
-    With every scope interior, c'(sigma_i) = lam gives C_i = lam / b_i, so
-    2 * sum(C) = lam * S solves to log lam = (2W - sum(log(beta_i / b_i) / b_i)) / W
-    with W = sum(1 / b_i).  A row with a spec outside the family's rules
-    (b > 0, beta >= 1) or whose exponent leaves the float range gets None, and
-    so the grid and its error.
+    An interior member has C_i = lam / b_i and sigma_i = log(lam beta_i / b_i) / b_i.
+    With W = sum(1 / b_i), A = sum(log(beta_i / b_i) / b_i) over the interior
+    members, K = sum(c(bound)) and L = sum(bound) over the clipped ones and
+    c0 = (2W - A - L) / W, lam = exp(c0 + v), where v + log v = log(2K / W) - c0
+    (v = 0 when K = 0), or lam = 2K / L when W = 0.
     """
+    k = sum(cost for _, cost in clipped)
+    l = sum(bound for bound, _ in clipped)
+    if not interior:
+        return 2.0 * k / l
+    w = sum(1.0 / spec.b for spec in interior)
+    c0 = (2.0 * w - sum(math.log(spec.beta / spec.b) / spec.b for spec in interior) - l) / w
+    v = 0.0
+    if k:
+        r = math.log(2.0 * k) - math.log(w) - c0
+        if not math.isfinite(r):  # nan included
+            return None
+        # e^u + u = r (u = log v) is convex and rising, and r or log r lies at or
+        # right of its root, so Newton's steps fall to the root; stop when they stall.
+        u = r if r < 1.0 else math.log(r)
+        while (nxt := u - (math.exp(u) + u - r) / (math.exp(u) + 1.0)) < u:
+            u = nxt
+        v = math.exp(u)
+    log_lam = c0 + v
+    return math.exp(log_lam) if abs(log_lam) < SCALAR_LOG_LIMIT else None  # nan: None
+
+
+def _exponential_profile(specs: dict[int, CostSpec], bounds: ScopeBounds, at_lo: dict,
+                         at_hi: dict) -> ScopeProfile | None:
+    """The profile at the closed-form multiplier of an all-exponential row;
+    None for every other row, and where the grid must decide.
+
+    The multiplier with every scope interior comes first.  If it leaves a scope
+    on or past a bound, a binary search over the segments between the sorted
+    breakpoints c'_i(lo) and c'_i(hi), on each of which the clipped members are
+    fixed, finds the segment that holds its own closed-form root.  That root
+    must lie strictly inside the grid's bracket (0.999 min c'(lo), 1.001 max
+    c'(hi)), so a row the grid finds no multiplier for keeps its error.  A spec
+    outside the family's rules (b > 0, beta >= 1) or an exponent that leaves
+    the float range gives None, and so the grid and its error.
+    """
+    members = list(specs.values())
     if not all(isinstance(spec, ScaledExponential) and spec.b > 0 and spec.beta >= 1
-               for spec in specs.values()):
+               for spec in members):
         return None
-    w = sum(1.0 / spec.b for spec in specs.values())
-    log_lam = (2.0 * w - sum(math.log(spec.beta / spec.b) / spec.b for spec in specs.values())) / w
-    if not abs(log_lam) < SCALAR_LOG_LIMIT:  # nan included
+    lam = _segment_multiplier(members, [])
+    if lam is None:
         return None
-    lam = math.exp(log_lam)
     with np.errstate(all="ignore"):  # a scope far out of bounds may be +-inf
         sig = _clipped_scopes(specs, lam, bounds)
-    if not all(bounds.lo < s < bounds.hi for s in sig.values()):
+    if all(bounds.lo < s < bounds.hi for s in sig.values()):
+        return _planner_profile(specs, lam, sig, ())
+    ends = [0.0, *sorted({*map(at_lo.get, members), *map(at_hi.get, members)}), math.inf]
+    first, last = 0, len(ends) - 2
+    while first <= last:
+        k = (first + last) // 2
+        left, right = ends[k], ends[k + 1]
+        at = [bounds.lo if right <= at_lo[spec] else bounds.hi if left >= at_hi[spec] else None
+              for spec in members]
+        lam = _segment_multiplier([spec for spec, x in zip(members, at) if x is None],
+                                  [(x, math.exp(spec.b * x) / spec.beta)
+                                   for spec, x in zip(members, at) if x is not None])
+        if lam is None or left <= lam <= right:
+            break
+        first, last = (first, k - 1) if lam < left else (k + 1, last)
+    else:  # rounding left the root in no segment
         return None
+    if lam is None or not 0.999 * ends[1] < lam < 1.001 * ends[-2]:
+        return None
+    with np.errstate(all="ignore"):
+        sig = _clipped_scopes(specs, lam, bounds)
     return _planner_profile(specs, lam, sig, ())
 
 
@@ -364,7 +418,7 @@ def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
     # For exponential costs, gap / lam = sum(2 C_i / lam - sigma_i) strictly falls
     # in lam (an interior term is (2 - log(lam beta_i / b_i)) / b_i, a clipped one
     # 2 c(bound) / lam - bound), so a closed-form multiplier is the only root.
-    closed = [_exponential_profile(specs, bounds) for specs in rows]
+    closed = [_exponential_profile(specs, bounds, at_lo, at_hi) for specs in rows]
     open_rows = [specs for specs, prof in zip(rows, closed) if prof is None]
     solved = iter(_grid_profiles(open_rows, at_lo, at_hi, bounds) if open_rows else ())
     return [next(solved) if prof is None else prof for prof in closed]

@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import CostSpec
+from .costs import CostSpec, finite
 from .errors import SimulationError, ValidationError
 from .scopes import Alliance
 from .welfare import Phase, phase_stats, plan_phases
@@ -117,11 +117,11 @@ class SimConfig:
             value = getattr(self, name)
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
-        if not 0.0 < self.dt < math.inf:
+        if not (finite(self.dt) and self.dt > 0.0):
             raise ValidationError("dt must be positive and finite")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be at least 1")
-        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+        if self.t_max is not None and not (finite(self.t_max) and self.t_max > 0.0):
             raise ValidationError("t_max must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must be an unsigned 64-bit integer")

@@ -284,3 +284,19 @@ def test_scope_bounds_refuse_bools_and_keep_ints():
             ScopeBounds(lo, hi)
     bounds = ScopeBounds(1, 10)
     assert (bounds.lo, bounds.hi) == (1.0, 10.0) and type(bounds.lo) is float
+
+
+@pytest.mark.parametrize("lo, hi", [(10**400, 10**401), (0.1, 10**401), (-10**400, 1.0)],
+                         ids=["both", "hi", "lo"])
+def test_scope_bounds_refuse_ints_past_the_float_range(lo, hi):
+    # Such an int is below inf, but no float holds it: one line, no OverflowError.
+    with pytest.raises(ValueError) as raised:
+        ScopeBounds(lo, hi)
+    assert str(raised.value) == "scope bounds must be finite"
+
+
+def test_cost_parameters_refuse_ints_past_the_float_range():
+    for make in (lambda: ScaledExponential(b=10**400), lambda: ScaledPower(a=1.0, p=-10**400)):
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == "parameters must be finite"

@@ -780,3 +780,13 @@ def test_config_refuses_values_it_would_coerce(field, value):
 def test_config_takes_ints_and_numpy_values():
     config = SimConfig(dt=1, t_max=np.float64(2.5), bridge_correction=np.bool_(True), strict=False)
     assert (config.dt, config.t_max, bool(config.bridge_correction)) == (1, 2.5, True)
+
+
+@pytest.mark.parametrize("field, value", [("dt", 10**400), ("t_max", 10**400), ("t_max", -10**400)],
+                         ids=["dt", "t_max", "negative-t_max"])
+def test_config_refuses_ints_past_the_float_range(field, value):
+    # Such an int is below inf, but no step can be that long: it is refused
+    # with the field's line, not accepted and then overflowed in the run.
+    with pytest.raises(ValidationError) as raised:
+        SimConfig(n_paths=2, **{field: value})
+    assert str(raised.value) == f"{field} must be positive and finite"

@@ -434,19 +434,38 @@ def _assert_interior_kkt(profile, specs, bounds) -> None:
     assert abs(2.0 * cost - lam * profile.total) <= 1e-12 * max(1.0, lam * profile.total)
 
 
+def _assert_box_kkt(profile, specs, bounds) -> None:
+    """The planner's conditions on the box [lo, hi], for one multiplier lam:
+    c'(sigma_i) = lam for interior scopes, c'(lo) >= lam for scopes at lo,
+    c'(hi) <= lam for scopes at hi, and 2 sum C = lam S.  lam is an interior
+    member's c', or 2 sum C / S when every scope sits on a bound."""
+    sig = profile.scopes()
+    assert ((bounds.lo <= sig) & (sig <= bounds.hi)).all()
+    inner = [spec.marginal(s) for spec, s in zip(specs, sig) if bounds.lo < s < bounds.hi]
+    cost = sum(spec.cost(s) for spec, s in zip(specs, sig))
+    lam = inner[0] if inner else 2.0 * cost / profile.total
+    for marginal in inner:
+        assert abs(marginal - lam) <= 1e-12 * lam
+    for spec, s in zip(specs, sig):
+        if s == bounds.lo:
+            assert spec.marginal(s) >= lam * (1.0 - 1e-12)
+        elif s == bounds.hi:
+            assert spec.marginal(s) <= lam * (1.0 + 1e-12)
+    assert abs(2.0 * cost - lam * profile.total) <= 1e-12 * max(1.0, lam * profile.total)
+
+
 def _matches_reference(alone, want, alliance, costs, bounds) -> bool:
     """True, after checking it, when the planner took the closed form for the
     problem: no grid, an all-exponential team, the reference's flags and
     warnings, its scopes to the solver's residual bound (1e-10 relative) and
-    the KKT conditions.  False for a grid row, which the caller compares bit
-    for bit; an all-exponential optimum clearly inside the bounds is no grid row.
+    the KKT conditions (on the box when a scope sits on a bound).  False for a
+    grid row, which the caller compares bit for bit; an all-exponential row
+    the reference solves is no grid row.
     """
     specs = [costs[i] for i in as_alliance(alliance)]
     exponential = all(isinstance(spec, ScaledExponential) for spec in specs)
     if _builds_grid(alliance, costs, bounds):
-        assert not (exponential and isinstance(want, ScopeProfile) and all(
-            bounds.lo + 1e-9 * bounds.lo < s < bounds.hi - 1e-9 * bounds.hi
-            for s in want.per_agent.values()))
+        assert not (exponential and isinstance(want, ScopeProfile))
         return False
     assert exponential and isinstance(want, ScopeProfile)
     assert (alone.interior, alone.degenerate, alone.warnings) == (
@@ -454,7 +473,10 @@ def _matches_reference(alone, want, alliance, costs, bounds) -> bool:
     assert list(alone.per_agent) == list(want.per_agent)
     for got, ref in zip(alone.scopes(), want.scopes()):
         assert abs(got - ref) <= 1e-10 * abs(ref)
-    _assert_interior_kkt(alone, specs, bounds)
+    if all(bounds.lo < s < bounds.hi for s in alone.per_agent.values()):
+        _assert_interior_kkt(alone, specs, bounds)
+    else:
+        _assert_box_kkt(alone, specs, bounds)
     return True
 
 
@@ -1155,7 +1177,8 @@ def test_closed_form_overflow_falls_to_the_grid_and_its_error():
     # closed form declines the row rather than overflow, and the solve raises
     # the guarded cost error of c' at lo, as the grid solver does.
     costs, bounds = [ScaledExponential(b=1e308)], ScopeBounds(1e-9, 10.0)
-    assert scopes_module._exponential_profile({0: costs[0]}, bounds) is None
+    # The row is declined before its c' at the bounds, which overflows too, is read.
+    assert scopes_module._exponential_profile({0: costs[0]}, bounds, {}, {}) is None
     text = "ScaledExponential(b=1e+308, beta=1.0) produced a non-finite value at sigma=1e-09"
     for solve in (planner_scopes, reference_planner_scopes):
         with pytest.raises(CostDomainError) as raised:
@@ -1180,8 +1203,10 @@ def test_pass_of_closed_form_and_grid_rows_equals_each_solve_alone():
     ([ScaledExponential(b=1.0, beta=2.0)], ScopeBounds(3.0, 10.0)),  # no root in the bracket
 ], ids=["bound", "no-root"])
 def test_bound_touching_exponential_rows_keep_the_grid(monkeypatch, costs, bounds):
-    # A closed-form scope on or past a bound is not the optimum there: the row
-    # takes the grid and gives the reference's profile or error, bit for bit.
+    # A row with a member clipped at a bound takes the closed form of its
+    # segment: no grid, the box conditions, the reference's profile to 1e-10.
+    # A row whose root lies outside the grid's bracket keeps the grid and
+    # gives the reference's error, bit for bit.
     this = sys.modules[__name__]
     captured = {"batched": [], "reference": []}
 
@@ -1202,17 +1227,20 @@ def test_bound_touching_exponential_rows_keep_the_grid(monkeypatch, costs, bound
     if isinstance(want, Exception):
         assert str(want).startswith("no planner multiplier")
         assert (type(got), str(got)) == (type(want), str(want))
+        assert len(captured["batched"]) == len(captured["reference"]) == 1
+        assert captured["batched"][0].tobytes() == captured["reference"][0].tobytes()
     else:
-        assert bounds.lo in want.per_agent.values() and got == want
-    assert len(captured["batched"]) == len(captured["reference"]) == 1
-    assert captured["batched"][0].tobytes() == captured["reference"][0].tobytes()
+        assert bounds.lo in want.per_agent.values() and bounds.lo in got.per_agent.values()
+        assert captured["batched"] == []
+        assert _matches_reference(got, want, alliance, costs, bounds)
 
 
-@pytest.mark.parametrize("b3", [1.5, 12.0, 17.25])
+@pytest.mark.parametrize("b3", [1.5, 12.0, 17.25, 17.5, 20.0, 24.0])
 def test_scan_row_builds_no_planner_grid(monkeypatch, b3):
-    # A row of the 96-step scenarios/scan.json whose planner optima are all
-    # interior (rows up to beta3 = 17.25; above, agent 1 of the costliest cells
-    # sits at lo and those rows take the grid): its chains make no _roots call.
+    # A row of the 96-step scenarios/scan.json: its chains make no _roots call.
+    # Up to beta3 = 17.25 every planner optimum is interior; above, agent 1 of
+    # the costliest cells sits at lo, and those rows take a clipped segment's
+    # closed form.
     from teamsearch.planner import optimal_chains
 
     calls = []
@@ -1244,3 +1272,69 @@ def test_exponential_specs_outside_the_rules_keep_the_grid(spec):
         assert (type(got), str(got)) == (type(want), str(want))
     else:
         assert got == want
+
+
+def test_seeded_exponential_rows_meet_the_box_conditions():
+    # Derandomized exponential teams (1-6 agents, log beta in [0, 6], b in
+    # [0.2, 2]) on three bound pairs: every row that builds no grid meets the
+    # box conditions, and matches the reference to 1e-10 where it solves;
+    # where the reference finds no multiplier, the solve raises its text.
+    rng = np.random.default_rng(24)
+    pairs = (WIDE, ScopeBounds(0.01, 50.0), ScopeBounds(0.5, 2.5))
+    seen = {"interior": 0, "clipped": 0, "no multiplier": 0}
+    for t in range(600):
+        bounds = pairs[t % 3]
+        costs = [ScaledExponential(b=float(rng.uniform(0.2, 2.0)),
+                                   beta=float(np.exp(rng.uniform(0.0, 6.0))))
+                 for _ in range(int(rng.integers(1, 7)))]
+        alliance = tuple(range(len(costs)))
+        got = _solve_or_error(planner_scopes, alliance, costs, bounds)
+        want = _solve_or_error(reference_planner_scopes, alliance, costs, bounds)
+        if isinstance(want, Exception):
+            assert str(want).startswith("no planner multiplier")
+            assert (type(got), str(got)) == (type(want), str(want))
+            seen["no multiplier"] += 1
+            continue
+        assert _matches_reference(got, want, alliance, costs, bounds)
+        _assert_box_kkt(got, costs, bounds)
+        on_bound = {bounds.lo, bounds.hi} & set(got.per_agent.values())
+        seen["clipped" if on_bound else "interior"] += 1
+    assert seen["interior"] > 100 and seen["clipped"] > 100 and seen["no multiplier"] > 0, seen
+
+
+def test_unsorted_oracle_teams_build_no_planner_grid(monkeypatch):
+    # Teams shaped like the oracle benchmark's: 5-6 exponential agents, b = 1,
+    # log beta in [0, 6], unsorted, on [0.1, 10], so cheap agents sit at lo.
+    # Their chains (the DP over every alliance) make no _roots call.
+    from teamsearch.planner import optimal_chain
+
+    calls = []
+    real = scopes_module._roots
+    monkeypatch.setattr(scopes_module, "_roots",
+                        lambda fn, grid: calls.append(grid.shape) or real(fn, grid))
+    rng = np.random.default_rng(51)
+    clipped = 0
+    for n in (6, 5, 5, 5, 6, 5):
+        log_beta = rng.uniform(0.0, 6.0, n)
+        while np.all(np.diff(log_beta) >= 0.0):
+            log_beta = rng.permutation(log_beta)
+        costs = [ScaledExponential(b=1.0, beta=float(beta)) for beta in np.exp(log_beta)]
+        chain = optimal_chain(costs, WIDE)
+        clipped += any(WIDE.lo in p.per_agent.values() for p in chain.profiles)
+    assert calls == [] and clipped > 0
+
+
+def test_segment_exponent_past_the_float_range_keeps_the_grid():
+    # Agent 1 is interior at a multiplier of about e^700.4, past the closed
+    # form's exponent limit, while agent 0 sits at lo: the row takes the grid
+    # and gives the reference's result, bit for bit.
+    costs, bounds = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=1000.0)], \
+        ScopeBounds(707.0, 709.7)
+    assert _builds_grid((0, 1), costs, bounds)
+    with np.errstate(all="ignore"):  # the reference's gap overflows on its grid
+        want = _solve_or_error(reference_planner_scopes, (0, 1), costs, bounds)
+    got = _solve_or_error(planner_scopes, (0, 1), costs, bounds)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want and got.per_agent[0] == bounds.lo
