@@ -273,7 +273,7 @@ def cmd_schedule(config: ScenarioConfig, args: argparse.Namespace) -> int:
         welfare = sum(report.per_agent[i] for i in exiting)
         rows.append([str(k), _wave_label(exiting), _fmt(drawdown), _fmt(welfare)])
     comments = [f"# mode: {args.mode}", f"# total_welfare: {_fmt(report.total)}"]
-    if args.mode == "sp" and plan.trace:  # a greedy chain's picks; a DP chain has none
+    if args.mode == "sp" and plan.trace:  # greedy picks, kept only for a team in multiplier order
         n = len(config.agents)
         comments.append(
             "# greedy_trace: " + " | ".join(_wave_label(range(j, n)) for j in plan.trace)

@@ -5,9 +5,10 @@ of phase k is m_k / (2 (C_k/S_k^2 - C_{k+1}/S_{k+1}^2)) where m_k agents exit
 after phase k, C is the alliance's total cost rate at planner scopes, and S
 its total scope (the empty successor contributes zero).  With proportional
 costs ordered cheapest-last, the optimal chain uses only suffix alliances and
-is found greedily by repeated argmax over terminal drawdowns.  Otherwise the
-welfare at these drawdowns telescopes to 1/2 sum_k m_k d_k, so the best chain
-is a longest path over links with increasing drawdowns, found by a DP.
+is found greedily by repeated argmax over terminal drawdowns; any proportional
+team is so ordered once its agents are read in multiplier order.  Otherwise
+the welfare at these drawdowns telescopes to 1/2 sum_k m_k d_k, so the best
+chain is a longest path over links with increasing drawdowns, found by a DP.
 ``optimal_chains`` builds many chains from one memo and alone picks what it solves ahead.
 """
 
@@ -27,8 +28,8 @@ from .welfare import WelfareReport, chain_welfare
 ARGMAX_TIE_TOL = 1e-12
 WELLORDERED_ENUM_CAP = 10
 GENERAL_ENUM_CAP = 6
-# Largest team the DP chain search takes when the greedy recursion does not
-# apply; its links grow as 3**n.  Checked before any solve.
+# Largest team the DP chain search takes, which only non-proportional teams
+# reach; its links grow as 3**n.  Checked before any solve.
 MAX_CHAIN_AGENTS = 10
 # Chains whose telescoped welfare is within this relative gap of the DP's
 # optimum are rescored by chain_welfare, so ties break as in brute force.
@@ -138,18 +139,33 @@ def _is_wellordered(costs: Sequence[CostSpec]) -> bool:
         return False
 
 
+def _multiplier_suffixes(costs: Sequence[CostSpec]) -> list[Alliance] | None:
+    """A proportional team's greedy suffixes, None for any other team.
+
+    Suffix j holds the members from the j-th on in the team's stable order by
+    ``cost_multiplier``, listed by label as the DP lists its alliances; in a
+    team whose multipliers do not fall with the label, suffix j is range(j, n).
+    """
+    if len({spec.proportional_key() for spec in costs}) != 1:
+        return None
+    mult = [spec.cost_multiplier() for spec in costs]
+    order = sorted(range(len(costs)), key=mult.__getitem__)
+    return [tuple(sorted(order[j:])) for j in range(len(costs))]
+
+
 def _greedy_chain(
-    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache
+    costs: Sequence[CostSpec], bounds: ScopeBounds, cache: ProfileCache, suffixes: list[Alliance]
 ) -> AllianceChain:
-    """Pick suffixes by largest link drawdown, from the empty one; each argmax must be unique."""
-    n = len(costs)
+    """Pick suffixes by largest link drawdown, from the empty one; each argmax must be unique.
+
+    The picks are traced only when every suffix j is range(j, n).
+    """
     links = _Links(costs, bounds, cache)
-    suffix = lambda j: tuple(range(j, n))
     picks: list[int] = []
-    upper = n  # consider suffixes starting strictly below this index
+    upper = len(costs)  # consider suffixes starting strictly below this index
     successor: Alliance = ()
     while upper > 0:
-        values = [(_drawdown(links, suffix(j), successor), j) for j in range(upper)]
+        values = [(_drawdown(links, suffixes[j], successor), j) for j in range(upper)]
         values.sort(key=lambda t: (-t[0], t[1]))
         if len(values) > 1:
             top, second = values[0][0], values[1][0]
@@ -160,9 +176,11 @@ def _greedy_chain(
                 )
         pick = values[0][1]
         picks.append(pick)
-        successor = suffix(pick)
+        successor = suffixes[pick]
         upper = pick
-    return _build_chain(links, [suffix(j) for j in reversed(picks)], trace=tuple(picks))
+    in_order = all(s[0] == j for j, s in enumerate(suffixes))  # each suffix j is range(j, n)
+    return _build_chain(links, [suffixes[j] for j in reversed(picks)],
+                        trace=tuple(picks) if in_order else ())
 
 
 def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
@@ -232,7 +250,7 @@ def _dp_optimal_chain(
     n = len(costs)
     if n > MAX_CHAIN_AGENTS:
         raise ValidationError(f"{n} agents: teams over {MAX_CHAIN_AGENTS} agents need "
-                              "proportional costs with non-decreasing multipliers")
+                              "proportional costs")
 
     def successors(a: Alliance) -> list[Alliance]:  # the chain's end first, as enumerated
         return [()] + [b for r in range(1, len(a)) for b in combinations(a, r)]
@@ -281,17 +299,18 @@ def optimal_chains(
 ) -> list[AllianceChain]:
     """``optimal_chain`` of each cost list, all from one memo of planner profiles.
 
-    The suffix alliances of every list the greedy recursion takes are solved
-    first, together in batched passes; the DP solves its own alliances.
+    The suffix alliances of every proportional list are solved first,
+    together in batched passes; the DP solves its own alliances.
     """
     cache = ProfileCache("sp")
-    greedy = [_is_wellordered(costs) for costs in cost_lists]
-    cache.prefetch([(tuple(range(j, len(costs))), costs) for costs, g in zip(cost_lists, greedy)
-                    if g for j in range(len(costs))], bounds)
-    return [(_greedy_chain if g else _dp_optimal_chain)(costs, bounds, cache)
-            for costs, g in zip(cost_lists, greedy)]
+    suffixes = [_multiplier_suffixes(costs) for costs in cost_lists]
+    cache.prefetch([(s, costs) for costs, sfx in zip(cost_lists, suffixes) if sfx is not None
+                    for s in sfx], bounds)
+    return [_dp_optimal_chain(costs, bounds, cache) if sfx is None
+            else _greedy_chain(costs, bounds, cache, sfx)
+            for costs, sfx in zip(cost_lists, suffixes)]
 
 
 def optimal_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:
-    """Planner chain: greedy for proportional ordered costs, the DP otherwise."""
+    """Planner chain: greedy on the multiplier order for proportional costs, the DP otherwise."""
     return optimal_chains([costs], bounds)[0]

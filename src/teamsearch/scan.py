@@ -9,7 +9,6 @@ depend on every multiplier, so a beta3 row's chains share one memo.
 
 from __future__ import annotations
 
-import math
 import reprlib
 from dataclasses import dataclass, replace
 from itertools import tee
@@ -17,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, ScaledExponential, ScopeBounds
+from .costs import CostSpec, ScaledExponential, ScopeBounds, finite
 from .equilibrium import exit_schedules
 from .errors import ValidationError
 from .planner import optimal_chains
@@ -36,7 +35,7 @@ class ScanSpec:
 
     def __post_init__(self) -> None:
         for lo, hi in (self.beta2_range, self.beta3_range):
-            if not 0.0 <= lo < hi < math.inf:
+            if not (finite(lo) and finite(hi) and 0.0 <= lo < hi):
                 raise ValueError("beta ranges must be finite with 0 <= lo < hi")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
@@ -51,8 +50,9 @@ class ScanSpec:
                 steps = f"steps=<an int of {self.steps.bit_length()} bits>"
             raise ValueError(f"{steps} gives {cells} cells, over the budget of {MAX_SCAN_CELLS}")
         for lo, hi in (self.beta2_range, self.beta3_range):
-            if not math.isfinite(self.steps * (hi - lo)):  # a grid value's numerator
-                raise ValueError(f"steps * (hi - lo) overflows for the beta range [{lo}, {hi}]")
+            if not finite(self.steps * (hi - lo)):  # a grid value's numerator
+                raise ValueError(f"steps * (hi - lo) overflows for the beta range "
+                                 f"[{reprlib.repr(lo)}, {reprlib.repr(hi)}]")
 
 
 def check_template(agents: Sequence[CostSpec]) -> None:

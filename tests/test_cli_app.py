@@ -401,9 +401,9 @@ def unsorted_team_doc(n: int, seed: int, spread: float = 6.0) -> dict:
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_schedule_sp_solves_large_unsorted_team(tmp_path, n):
-    # Unsorted teams take the planner's DP chain search; the welfare of the
-    # best chain cannot depend on agent order, so it equals the greedy chain's
-    # on the sorted team.
+    # Unsorted teams take the greedy on their multiplier order; the welfare of
+    # the best chain cannot depend on agent order, so it equals the greedy
+    # chain's on the sorted team.
     from teamsearch.costs import ScaledExponential, ScopeBounds
     from teamsearch.planner import greedy_wellordered_chain
     from teamsearch.welfare import chain_welfare
@@ -428,6 +428,10 @@ def test_simulate_sp_runs_seven_agent_unsorted_team(tmp_path):
 @pytest.mark.parametrize("command", ["schedule", "simulate"])
 def test_unsorted_team_over_chain_limit_exits_two_quickly(tmp_path, command):
     doc = quick_sim_doc(unsorted_team_doc(11, seed=11), n_paths=10)
+    # Rates b alternating 1.0 and 1.5 make the costs non-proportional, so the
+    # chain needs the DP, which refuses teams over 10 agents.
+    for k, agent in enumerate(doc["agents"]):
+        agent["b"] = 1.5 if k % 2 else 1.0
     result = subprocess.run(
         [sys.executable, "-m", "teamsearch", command, write_scenario(tmp_path, doc),
          "--mode", "sp"],
@@ -435,7 +439,11 @@ def test_unsorted_team_over_chain_limit_exits_two_quickly(tmp_path, command):
     )
     assert_one_line_error(result)
     assert "over 10 agents" in result.stderr
-    # A sorted team of the same size takes the greedy chain, which has no limit.
+    # With one rate the team is proportional and takes the greedy chain, which
+    # has no limit, unsorted or sorted.
+    for agent in doc["agents"]:
+        agent["b"] = 1.0
+    assert run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp").returncode == 0
     doc["agents"].sort(key=lambda agent: agent["beta"])
     assert run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp").returncode == 0
 
@@ -487,8 +495,8 @@ def test_planner_is_quiet_where_bracket_midpoints_overflow(tmp_path, command):
 
 
 def test_schedule_prints_greedy_trace_only_for_greedy_chains(tmp_path):
-    # Multipliers that fall with the index are not well-ordered, so the chain
-    # comes from the DP, which has no pick trace to print.
+    # Multipliers that fall with the index: the greedy picks suffixes of the
+    # team in multiplier order, not range(j, n), so it prints no pick trace.
     doc = base_doc(betas=(2.0, 1.0))
     result = run_cli("schedule", write_scenario(tmp_path, doc), "--mode", "sp")
     assert result.returncode == 0
@@ -707,3 +715,28 @@ def test_coarse_step_is_named_and_strict_refuses_it(tmp_path):
     assert comments[-1] == f"# warning: {text}"
     strict = run_cli("simulate", path, "--mode", "eq", "--strict")
     assert (strict.returncode, strict.stdout, strict.stderr) == (1, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("beta_range", [(0.0, 10**400), (-10**400, 1.0), (0, 10**400)])
+def test_scan_spec_refuses_ints_past_the_float_range(beta_range):
+    # An int past the float range passes a plain comparison with math.inf, and
+    # hi - lo then fails to convert; both ends are checked first, so the spec
+    # gives its one-line error on either axis.
+    from teamsearch.scan import ScanSpec
+
+    for spec in ({"beta2_range": beta_range}, {"beta3_range": beta_range}):
+        with pytest.raises(ValueError) as raised:
+            ScanSpec(**spec)
+        assert str(raised.value) == "beta ranges must be finite with 0 <= lo < hi"
+
+
+def test_scan_spec_names_an_int_grid_numerator_past_the_float_range():
+    # Both ends are floats' size, but steps * (hi - lo) is an int past the
+    # float range: the overflow line, shortened, not an OverflowError.
+    from teamsearch.scan import ScanSpec
+
+    with pytest.raises(ValueError) as raised:
+        ScanSpec(beta2_range=(0, 10**308), steps=3)
+    text = str(raised.value)
+    assert text.startswith("steps * (hi - lo) overflows for the beta range [0, 1000")
+    assert len(text.splitlines()) == 1 and len(text.encode()) < 200

@@ -3,8 +3,9 @@
 Team ``seed`` (0 to 11) has SIZES[seed] ``scaled_exponential`` agents with
 b = 1 and log beta drawn uniform on [0, 6] from a generator seeded by
 ``seed``, permuted until unsorted, on the scope bounds [0.1, 10].  An
-unsorted team takes the planner's DP chain search, which solves every one of
-its 2**n - 1 alliances; no other golden record pins that path on 6 agents.
+unsorted team takes the greedy chain on its multiplier order, which gives,
+bit for bit, the chain of the DP over all 2**n - 1 alliances that made these
+records.
 ``tests/golden/oracle.json`` holds each team's exit code, stdout and stderr.
 Re-record it, from the tree on the path, with::
 

@@ -10,7 +10,7 @@ import pytest
 
 from teamsearch.costs import AffineQuadratic, ScaledExponential, ScopeBounds
 from teamsearch.equilibrium import equilibrium_exit_schedule
-from teamsearch.errors import ValidationError
+from teamsearch.errors import SolverError, ValidationError
 from teamsearch.planner import (
     brute_force_optimal_chain,
     enumerate_chains,
@@ -322,6 +322,7 @@ def test_dp_chain_keeps_brute_force_pick_among_near_ties(monkeypatch):
     # step, so the pick rests on brute force's rule alone: the first chain,
     # in enumeration order, with the largest chain_welfare total.
     import teamsearch.planner as planner_module
+    from teamsearch.planner import _dp_optimal_chain
 
     scored = [0]
     welfare = planner_module.chain_welfare
@@ -337,7 +338,7 @@ def test_dp_chain_keeps_brute_force_pick_among_near_ties(monkeypatch):
             betas = rng.permutation(betas)
         costs = exp_team(betas)
         before = scored[0]
-        optimal_chain(costs, WIDE)
+        _dp_optimal_chain(costs, WIDE, ProfileCache("sp"))
         rescored.append(scored[0] - before)
         assert assert_same_as_brute_force(costs, WIDE)
     assert sum(count > 1 for count in rescored) >= 6
@@ -433,3 +434,120 @@ def test_planner_drawdown_refuses_an_equilibrium_memo():
     alone = planner_drawdown((0, 1), (), costs, bounds)
     assert planner_drawdown((0, 1), (), costs, bounds, ProfileCache("sp")) == alone
     assert alone == pytest.approx(1.8753, abs=1e-4)
+
+
+def unsorted_proportional_team(rng, family: str, n: int):
+    # Scaled copies of one spec, so one proportional_key; a quarter of the
+    # agents repeat an earlier one.  Drawn again until some multiplier falls
+    # with the agent index.
+    from teamsearch.costs import ScaledPower
+    from teamsearch.planner import _is_wellordered
+
+    if family == "exponential":
+        b = float(rng.uniform(0.5, 2.0))
+        costs = [ScaledExponential(b=b, beta=float(np.exp(rng.uniform(0.0, 6.0))))
+                 for _ in range(n)]
+    elif family == "power":
+        p = float(rng.choice([2.0, 3.0]))
+        costs = [ScaledPower(a=1.0, p=p, beta=float(np.exp(rng.uniform(0.0, 4.0))))
+                 for _ in range(n)]
+    else:
+        # Powers of two keep a1 / a2 and a0 / a2 exact, so the specs stay proportional.
+        costs = [AffineQuadratic(a2=2.0**-j, a1=0.01 * 2.0**-j, a0=0.25 * 2.0**-j)
+                 for j in rng.integers(0, 4, size=n)]
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            costs[i] = costs[int(rng.integers(i))]
+    if _is_wellordered(costs):
+        return unsorted_proportional_team(rng, family, n)
+    assert len({spec.proportional_key() for spec in costs}) == 1
+    return costs
+
+
+@pytest.mark.parametrize("family", ["exponential", "affine", "power"])
+def test_unsorted_proportional_teams_take_the_dp_chain(family):
+    # optimal_chain takes the greedy on the team's multiplier order; on teams
+    # of 2-8 agents it must give the DP's chain exactly.  Where the DP refuses
+    # a team, one of its alliances has no planner multiplier (ROADMAP item 1);
+    # the greedy then meets that class of error on a suffix it reads, but the
+    # text may differ, as it names the gap of the first failing alliance read
+    # (the DP reads every alliance, in brute force's order).  No team that the
+    # DP solves hits the greedy's argmax tie.
+    from teamsearch.planner import _dp_optimal_chain
+
+    rng = np.random.default_rng({"exponential": 81, "affine": 82, "power": 83}[family])
+    seen = {"chain": 0, "same error": 0, "other alliance's error": 0}
+    for k in range(60):
+        costs = unsorted_proportional_team(rng, family, int(rng.integers(2, 9)))
+        bounds = ROOMY if k % 2 else WIDE
+        routed = outcome(lambda: optimal_chain(costs, bounds))
+        dp = outcome(lambda: _dp_optimal_chain(costs, bounds, ProfileCache("sp")))
+        if isinstance(dp, tuple):
+            assert isinstance(routed, tuple) and routed[0] is dp[0] is SolverError
+            assert routed[1].startswith("no planner multiplier")
+            assert dp[1].startswith("no planner multiplier")
+            seen["same error" if routed == dp else "other alliance's error"] += 1
+            continue
+        assert routed == dp  # alliances, drawdowns, profiles, feasible and no trace
+        assert chain_welfare(routed, costs) == chain_welfare(dp, costs)
+        seen["chain"] += 1
+    if family == "exponential":
+        assert seen["chain"] == 60, seen
+    else:
+        assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("n", [11, 60])
+def test_large_unsorted_team_gives_the_sorted_chain_relabelled(n):
+    # Past the DP's cap: the unsorted team's chain is the sorted team's, with
+    # agent i of the sorted team read as agent order[i].  Sums over members
+    # run in another order, so values agree to 1e-12, not bit for bit.
+    rng = np.random.default_rng(n)
+    costs = exp_team(np.exp(rng.uniform(0.0, 6.0, size=n)))
+    order = sorted(range(n), key=lambda i: costs[i].beta)
+    assert order != list(range(n))
+    ordered = [costs[i] for i in order]
+    chain, sorted_chain = optimal_chain(costs, WIDE), optimal_chain(ordered, WIDE)
+    assert len(chain.alliances) > 1 and chain.trace == () and sorted_chain.trace
+    assert chain.alliances == tuple(tuple(sorted(order[i] for i in a))
+                                    for a in sorted_chain.alliances)
+    assert chain.drawdowns == pytest.approx(sorted_chain.drawdowns, rel=1e-12, abs=0.0)
+    assert chain.feasible == sorted_chain.feasible
+    for profile, sorted_profile in zip(chain.profiles, sorted_chain.profiles):
+        assert profile.per_agent == pytest.approx(
+            {order[i]: s for i, s in sorted_profile.per_agent.items()}, rel=1e-12, abs=0.0)
+    report, sorted_report = chain_welfare(chain, costs), chain_welfare(sorted_chain, ordered)
+    assert report.total == pytest.approx(sorted_report.total, rel=1e-12, abs=0.0)
+    assert [report.per_agent[i] for i in order] == pytest.approx(
+        [sorted_report.per_agent[i] for i in range(n)], rel=1e-12, abs=0.0)
+
+
+def test_only_non_proportional_lists_reach_the_dp(monkeypatch):
+    # A proportional list takes the greedy in any order, whatever its family;
+    # every other list takes the DP once, solved or not.
+    import teamsearch.planner as planner_module
+    from teamsearch.costs import ScaledPower
+
+    calls = []
+    real = planner_module._dp_optimal_chain
+    monkeypatch.setattr(planner_module, "_dp_optimal_chain",
+                        lambda costs, *rest: calls.append(costs) or real(costs, *rest))
+    rng = np.random.default_rng(91)
+    proportional = []
+    for n in (1, 3, 5):
+        betas = np.exp(rng.uniform(0.0, 4.0, size=n))
+        for mult in (np.sort(betas), betas[::-1], rng.permutation(betas)):
+            proportional.append(exp_team(mult))
+            proportional.append([ScaledPower(a=1.0, p=2.0, beta=float(m)) for m in mult])
+            proportional.append([AffineQuadratic(a2=1.0 / m, a1=0.0, a0=0.5 / m) for m in mult])
+    proportional.append(exp_team([2.0] * 4))
+    for costs in proportional:
+        outcome(lambda: optimal_chain(costs, ROOMY))
+    assert calls == []
+    others = [exp_team([1.0, 3.0]) + [ScaledExponential(b=1.5, beta=2.0)],
+              [ScaledExponential(b=1.0 + 0.5 * (i % 2), beta=float(i + 1)) for i in range(4)],
+              mixed_unsorted_team(rng, "power", 4), mixed_unsorted_team(rng, "affine", 3),
+              []]
+    for costs in others:
+        outcome(lambda: optimal_chain(costs, ROOMY))
+    assert calls == others

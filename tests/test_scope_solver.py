@@ -1305,7 +1305,7 @@ def test_seeded_exponential_rows_meet_the_box_conditions():
 def test_unsorted_oracle_teams_build_no_planner_grid(monkeypatch):
     # Teams shaped like the oracle benchmark's: 5-6 exponential agents, b = 1,
     # log beta in [0, 6], unsorted, on [0.1, 10], so cheap agents sit at lo.
-    # Their chains (the DP over every alliance) make no _roots call.
+    # Their chains (the greedy over the team's suffixes) make no _roots call.
     from teamsearch.planner import optimal_chain
 
     calls = []
