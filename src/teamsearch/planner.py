@@ -123,22 +123,6 @@ def _build_chain(
     )
 
 
-def _check_wellordered(costs: Sequence[CostSpec]) -> None:
-    keys = {spec.proportional_key() for spec in costs}
-    if len(keys) != 1:
-        raise ValidationError("costs must be proportional (one family, scaled copies)")
-    mult = [spec.cost_multiplier() for spec in costs]
-    if any(a > b for a, b in zip(mult, mult[1:])):
-        raise ValidationError("cost multipliers must be non-decreasing in agent index")
-
-
-def _is_wellordered(costs: Sequence[CostSpec]) -> bool:
-    try:
-        return _check_wellordered(costs) is None
-    except ValidationError:
-        return False
-
-
 def _multiplier_suffixes(costs: Sequence[CostSpec]) -> list[Alliance] | None:
     """A proportional team's greedy suffixes, None for any other team.
 
@@ -151,6 +135,23 @@ def _multiplier_suffixes(costs: Sequence[CostSpec]) -> list[Alliance] | None:
     mult = [spec.cost_multiplier() for spec in costs]
     order = sorted(range(len(costs)), key=mult.__getitem__)
     return [tuple(sorted(order[j:])) for j in range(len(costs))]
+
+
+def _in_label_order(suffixes: list[Alliance] | None) -> bool:
+    """Whether every suffix j is range(j, n): the team is listed cheapest-last."""
+    return suffixes is not None and all(s[0] == j for j, s in enumerate(suffixes))
+
+
+def _check_wellordered(costs: Sequence[CostSpec]) -> None:
+    suffixes = _multiplier_suffixes(costs)
+    if suffixes is None:
+        raise ValidationError("costs must be proportional (one family, scaled copies)")
+    if not _in_label_order(suffixes):
+        raise ValidationError("cost multipliers must be non-decreasing in agent index")
+
+
+def _is_wellordered(costs: Sequence[CostSpec]) -> bool:
+    return _in_label_order(_multiplier_suffixes(costs))
 
 
 def _greedy_chain(
@@ -178,9 +179,8 @@ def _greedy_chain(
         picks.append(pick)
         successor = suffixes[pick]
         upper = pick
-    in_order = all(s[0] == j for j, s in enumerate(suffixes))  # each suffix j is range(j, n)
     return _build_chain(links, [suffixes[j] for j in reversed(picks)],
-                        trace=tuple(picks) if in_order else ())
+                        trace=tuple(picks) if _in_label_order(suffixes) else ())
 
 
 def greedy_wellordered_chain(costs: Sequence[CostSpec], bounds: ScopeBounds) -> AllianceChain:

@@ -288,8 +288,8 @@ def outcome(solve):
         return type(exc), str(exc)
 
 
-def assert_same_as_brute_force(costs, bounds):
-    dp = outcome(lambda: optimal_chain(costs, bounds))
+def assert_same_as_brute_force(costs, bounds, solve=optimal_chain):
+    dp = outcome(lambda: solve(costs, bounds))
     brute = outcome(lambda: brute_force_optimal_chain(costs, bounds, wellordered=False)[0])
     if isinstance(brute, tuple):
         assert dp == brute
@@ -330,6 +330,10 @@ def test_dp_chain_keeps_brute_force_pick_among_near_ties(monkeypatch):
     monkeypatch.setattr(planner_module, "chain_welfare",
                         lambda *args: scored.__setitem__(0, scored[0] + 1) or welfare(*args))
     rng = np.random.default_rng(64)
+
+    def dp_chain(costs, bounds):
+        return _dp_optimal_chain(costs, bounds, ProfileCache("sp"))
+
     rescored = []
     for _ in range(12):
         betas = np.exp(rng.uniform(0.0, 6.0, size=int(rng.integers(3, 7))))
@@ -338,9 +342,9 @@ def test_dp_chain_keeps_brute_force_pick_among_near_ties(monkeypatch):
             betas = rng.permutation(betas)
         costs = exp_team(betas)
         before = scored[0]
-        _dp_optimal_chain(costs, WIDE, ProfileCache("sp"))
+        dp_chain(costs, WIDE)
         rescored.append(scored[0] - before)
-        assert assert_same_as_brute_force(costs, WIDE)
+        assert assert_same_as_brute_force(costs, WIDE, dp_chain)
     assert sum(count > 1 for count in rescored) >= 6
 
 
@@ -349,6 +353,7 @@ def test_dp_chain_refuses_equal_consecutive_drawdowns(monkeypatch):
     # make one chain's second drawdown equal its first; with every chain
     # rescored, the DP must still skip it, as brute force does.
     import teamsearch.planner as planner_module
+    from teamsearch.planner import _dp_optimal_chain
 
     table = {
         ((0, 1, 2), ()): 0.5,
@@ -360,7 +365,7 @@ def test_dp_chain_refuses_equal_consecutive_drawdowns(monkeypatch):
     monkeypatch.setattr(planner_module, "_drawdown", lambda links, a, b: table.get((a, b), -1.0))
     monkeypatch.setattr(planner_module, "CHAIN_TIE_TOL", 0.99)
     costs = exp_team([2.0, 1.0, 3.0])
-    dp = optimal_chain(costs, ROOMY)
+    dp = _dp_optimal_chain(costs, ROOMY, ProfileCache("sp"))
     brute, _ = brute_force_optimal_chain(costs, ROOMY, wellordered=False)
     assert dp == brute
 
@@ -469,14 +474,14 @@ def test_unsorted_proportional_teams_take_the_dp_chain(family):
     # optimal_chain takes the greedy on the team's multiplier order; on teams
     # of 2-8 agents it must give the DP's chain exactly.  Where the DP refuses
     # a team, one of its alliances has no planner multiplier (ROADMAP item 1);
-    # the greedy then meets that class of error on a suffix it reads, but the
-    # text may differ, as it names the gap of the first failing alliance read
-    # (the DP reads every alliance, in brute force's order).  No team that the
-    # DP solves hits the greedy's argmax tie.
+    # the greedy then meets that class of error on a suffix it reads.  Its
+    # text may name another alliance's gap than the DP's, which reads every
+    # alliance in brute force's order.  No team that the DP solves hits the
+    # greedy's argmax tie.
     from teamsearch.planner import _dp_optimal_chain
 
     rng = np.random.default_rng({"exponential": 81, "affine": 82, "power": 83}[family])
-    seen = {"chain": 0, "same error": 0, "other alliance's error": 0}
+    solved = 0
     for k in range(60):
         costs = unsorted_proportional_team(rng, family, int(rng.integers(2, 9)))
         bounds = ROOMY if k % 2 else WIDE
@@ -486,15 +491,11 @@ def test_unsorted_proportional_teams_take_the_dp_chain(family):
             assert isinstance(routed, tuple) and routed[0] is dp[0] is SolverError
             assert routed[1].startswith("no planner multiplier")
             assert dp[1].startswith("no planner multiplier")
-            seen["same error" if routed == dp else "other alliance's error"] += 1
             continue
         assert routed == dp  # alliances, drawdowns, profiles, feasible and no trace
         assert chain_welfare(routed, costs) == chain_welfare(dp, costs)
-        seen["chain"] += 1
-    if family == "exponential":
-        assert seen["chain"] == 60, seen
-    else:
-        assert min(seen.values()) > 0, seen
+        solved += 1
+    assert solved == 60 if family == "exponential" else solved > 0
 
 
 @pytest.mark.parametrize("n", [11, 60])
