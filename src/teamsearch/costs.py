@@ -10,8 +10,7 @@ common-multiplier system).
 ``CostFamily`` owns what all families share: finite parameters, the sign and
 finiteness guards (numpy overflow goes quietly to the finiteness guard; a
 scalar scope far below the overflow edge, by a family bound, skips them), the
-one return rule (a float for scalar or 0-d input, an array otherwise, by the
-shape of the result so that a stacked spec gives its column),
+one return rule (a float for scalar or 0-d input, an array otherwise),
 ``cost``/``marginal``/``curvature``, the default ratio 2*c/c' and the
 parameter check ``validate_cost`` reports.  A family supplies its c, c' and
 c'' expressions on a float array (``_c``, ``_dc``, ``_d2c``),
@@ -20,18 +19,13 @@ the scalar scope below which its c, c' and c'' cannot overflow
 (``_scalar_bound``), ``proportional_key`` and ``cost_multiplier``, and a
 closed-form ``ratio`` where one exists, with the ``reply_key`` that ratio
 depends on.
-
-``SpecStack`` evaluates many specs of one family as one spec whose parameters
-that differ between the specs are columns and whose shared parameters are
-floats, so each element takes the operations its own spec's call would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +83,7 @@ def _scalar(x) -> bool:
 
 def _shaped(out):
     """The return rule on a result: a float for a scalar or 0-d result (which a
-    scalar argument gives, unless the spec is stacked), an array otherwise."""
+    scalar argument gives), an array otherwise."""
     return float(out) if _scalar(out) else out
 
 
@@ -104,9 +98,6 @@ class CostFamily:
     """Base of the cost families; see the module docstring for the split of work."""
 
     ratio_constant = None  # 2*c/c' where it does not depend on sigma
-    # Parameters a SpecStack keeps as one scalar (numpy has fast paths for
-    # some scalar exponents); specs stack only when these are equal.
-    stack_scalars = ()
 
     def __post_init__(self) -> None:
         if not all(map(finite, vars(self).values())):
@@ -145,11 +136,6 @@ class CostFamily:
     def curvature(self, sigma):
         return self._evaluate(self._d2c, sigma)
 
-    def bare_cost(self, s: np.ndarray) -> np.ndarray:
-        """``cost`` of a float array without the guards or an error state of its
-        own, for a caller that sets one and checks finiteness itself."""
-        return self._c(s)
-
     def ratio(self, sigma):
         # 2c/c' can overflow where c and c' do not: always guarded.
         return self._guarded(self._ratio, sigma)
@@ -166,10 +152,6 @@ class CostFamily:
         this spec: specs with equal keys have the same best replies, bit for bit.
         By default the spec itself."""
         return self
-
-    def stack_key(self) -> tuple:
-        """Specs with equal keys evaluate together in one SpecStack."""
-        return (type(self), *(getattr(self, name) for name in self.stack_scalars))
 
 
 @dataclass(frozen=True)
@@ -233,7 +215,6 @@ class ScaledPower(CostFamily):
     a: float
     p: float
     beta: float = 1.0
-    stack_scalars = ("p",)
 
     def _c(self, s):
         return self.a * s ** self.p / self.beta
@@ -331,49 +312,6 @@ class AffineQuadratic(CostFamily):
 
 
 CostSpec = CostFamily
-
-
-class SpecStack:
-    """Specs with one stack key, evaluated together.
-
-    ``take(rows)`` is a spec of their family whose parameters that differ
-    between the specs are (len(rows), 1) columns, row j holding those of
-    ``specs[rows[j]]``, and whose other parameters, ``stack_scalars`` among
-    them, are the specs' shared values: a float and a column give the same
-    IEEE result in the families' ``*``, ``/``, ``+`` and ``-``, and the
-    float skips numpy's broadcast loop.  Its methods take a (len(rows), m)
-    array, and each element goes through the same operations as a call of
-    its own spec would.  The stacked spec skips the parameter checks (every
-    spec has passed them) and cannot be hashed.  A stack of one spec is that
-    spec.
-    """
-
-    def __init__(self, specs: Sequence[CostFamily]):
-        first = specs[0]
-        self.only = first if len(specs) == 1 else None
-        self.family = type(first)
-        self.shared = {name: getattr(first, name) for name in first.stack_scalars}
-        self.columns: dict[str, np.ndarray] = {}
-        if self.only is not None:
-            return
-        for name in (f.name for f in fields(first) if f.name not in self.shared):
-            column = np.array([getattr(spec, name) for spec in specs], dtype=float)
-            bits = column.view(np.uint64)  # equal bits: 0.0 and -0.0 stay a column
-            if (bits == bits[0]).all():
-                self.shared[name] = float(column[0])
-            else:
-                self.columns[name] = column
-
-    def take(self, rows: np.ndarray) -> CostFamily:
-        if self.only is not None:
-            return self.only
-        spec = object.__new__(self.family)
-        for name, value in self.shared.items():
-            object.__setattr__(spec, name, value)
-        for name, column in self.columns.items():
-            object.__setattr__(spec, name, column[rows, None])
-        object.__setattr__(spec, "_scalar_limit", -math.inf)  # columns: always guarded
-        return spec
 
 
 # Scenario-file family name of each cost class.

@@ -9,7 +9,7 @@ is found greedily by repeated argmax over terminal drawdowns; any proportional
 team is so ordered once its agents are read in multiplier order.  Otherwise
 the welfare at these drawdowns telescopes to 1/2 sum_k m_k d_k, so the best
 chain is a longest path over links with increasing drawdowns, found by a DP.
-``optimal_chains`` builds many chains from one memo and alone picks what it solves ahead.
+``optimal_chains`` builds many chains from one memo.
 """
 
 from __future__ import annotations
@@ -258,9 +258,8 @@ def _dp_optimal_chain(
     links = _Links(costs, bounds, cache)
     team = tuple(range(n))
     # Solved in the order brute force first reaches them, so a failing solve
-    # (one the prefetch left unsolved) raises the error brute force would.
+    # raises the error brute force would.
     order = [team, *successors(team)[1:]]
-    links.cache.prefetch([(a, costs) for a in order], bounds)
     for alliance in order:
         links.cost_per_speed(alliance)
     by_size = order[1:] + order[:1]  # smallest alliances first
@@ -297,15 +296,9 @@ def _dp_optimal_chain(
 def optimal_chains(
     cost_lists: Sequence[Sequence[CostSpec]], bounds: ScopeBounds
 ) -> list[AllianceChain]:
-    """``optimal_chain`` of each cost list, all from one memo of planner profiles.
-
-    The suffix alliances of every proportional list are solved first,
-    together in batched passes; the DP solves its own alliances.
-    """
+    """``optimal_chain`` of each cost list, all from one memo of planner profiles."""
     cache = ProfileCache("sp")
     suffixes = [_multiplier_suffixes(costs) for costs in cost_lists]
-    cache.prefetch([(s, costs) for costs, sfx in zip(cost_lists, suffixes) if sfx is not None
-                    for s in sfx], bounds)
     return [_dp_optimal_chain(costs, bounds, cache) if sfx is None
             else _greedy_chain(costs, bounds, cache, sfx)
             for costs, sfx in zip(cost_lists, suffixes)]

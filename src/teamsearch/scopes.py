@@ -10,21 +10,10 @@ whose members all have exponential costs takes lambda in closed form on the
 segment of multipliers where the same members are clipped, and builds no
 grid; every other problem is solved on the grid.
 
-Equilibrium problems are solved one at a time, each on one grid row (a
-cascade learns its next alliance only from the solve before); batched
-passes of (problems x grid) arrays are the planner's alone.  Each round
-evaluates the rows' scopes and costs by member position and stack key: one
-call per cost family (and power exponent) at a position, on a spec stacked
-over that group's rows, where a stack of one spec is that spec.  A position
-groups its specs once per set of rows, so the grid call and every round in
-which each row keeps one bracket reuse the same groups.  A single planner
-solve is a pass of one problem; a pass puts only its rows that take no
-closed form on its grid.  Each row does the arithmetic of a solve
-alone, so a profile does not depend on its batch.  A group whose rows are
-one run (prefetch lists problems largest alliance first) is read and summed
-through a row slice, not an index array.  The planner gap takes one error
-state per call and checks its costs once, through their sum; k-section
-compares signs by ``np.sign``, so gaps too large to multiply raise no warning.
+Problems are solved one at a time.  The planner gap sums each member's guarded cost in member order under one error state,
+so a non-finite term raises its own spec's error while a sum too large for
+the float range passes; k-section compares signs by ``np.sign``, so gaps too
+large to multiply raise no warning.
 
 An equilibrium solve reads of a cost spec only its reply key, so
 ``ProfileCache("eq")`` shares one profile among all cost lists whose members
@@ -35,13 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .costs import SCALAR_LOG_LIMIT, CostSpec, ScaledExponential, ScopeBounds, SpecStack
-from .errors import SolverError, TeamSearchError
+from .costs import SCALAR_LOG_LIMIT, CostSpec, ScaledExponential, ScopeBounds
+from .errors import SolverError
 
 Alliance = tuple[int, ...]
 
@@ -52,14 +41,11 @@ ZERO_TOL = 1e-12
 # A profile counts as interior when first-order residuals are below this
 # (scaled by the magnitude of the matched quantity).
 INTERIOR_TOL = 1e-9
-# Most problems one batched pass solves together; it bounds the pass's
-# (problems x SCAN_POINTS) temporaries.
-PASS_ROWS = 16
 
 
 def as_alliance(members: Iterable[int], team_size: int | None = None) -> Alliance:
     """Normalize an agent index collection into a sorted, duplicate-free tuple."""
-    out = tuple(sorted(int(i) for i in members))
+    out = tuple(sorted(map(int, members)))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate agent indices in alliance {out}")
     if out and out[0] < 0:
@@ -92,37 +78,34 @@ class ScopeProfile:
         return np.array([self.per_agent[i] for i in keys], dtype=float)
 
 
-def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
-    """Sorted, de-duplicated zeros of ``fn`` in each row of ``grid``, and ``fn`` on ``grid``.
-
-    ``grid`` holds one grid per row, and ``fn(points, rows)`` evaluates the
-    function of row ``rows[j]`` on ``points[j]``.
+def _roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Sorted, de-duplicated zeros of the vector function ``fn`` on ``grid``, and ``fn`` on ``grid``.
 
     Grid points with |fn| <= ZERO_TOL are exact zeros.  All other sign changes
-    of all rows are refined together by k-section: each round evaluates ``fn``
-    once on SCAN_POINTS interior points of every open bracket and keeps the
-    first sub-interval with a sign change, until its width is within ROOT_TOL.
+    are refined together by k-section: each round evaluates ``fn`` once on
+    SCAN_POINTS interior points of every open bracket (a 2-D array, one row
+    per bracket) and keeps the first sub-interval with a sign change, until
+    its width is within ROOT_TOL.
     """
-    values = fn(grid, np.arange(len(grid)))
+    values = fn(grid)
     zero = np.abs(values) <= ZERO_TOL
-    found_rows, found = [np.nonzero(zero)[0]], [grid[zero]]
+    found = [grid[zero]]
     # Signs are compared as products of np.sign, which cannot overflow.
     sign = np.sign(values)
-    row, col = np.nonzero(~zero[:, :-1] & ~zero[:, 1:] & ~(sign[:, :-1] * sign[:, 1:] > 0))
-    a, b, side = grid[row, col], grid[row, col + 1], sign[row, col]
+    col = np.flatnonzero(~zero[:-1] & ~zero[1:] & ~(sign[:-1] * sign[1:] > 0))
+    a, b, side = grid[col], grid[col + 1], sign[col]
     frac = np.arange(1, SCAN_POINTS + 1) / (SCAN_POINTS + 1)
     while True:
         with np.errstate(over="ignore"):  # brackets above ~9e307 have an inf midpoint
             mid = 0.5 * (a + b)
         done = (mid <= a) | (mid >= b) | (b - a <= ROOT_TOL * np.maximum(1.0, np.abs(mid)))
         if done.any():
-            found_rows.append(row[done])
             found.append(mid[done])
-            a, b, side, row = a[~done], b[~done], side[~done], row[~done]
+            a, b, side = a[~done], b[~done], side[~done]
         if not a.size:
             break
         inner = a[:, None] + (b - a)[:, None] * frac
-        f = fn(inner, row)
+        f = fn(inner)
         hit = (f == 0.0) | (side[:, None] * f < 0)
         i = np.arange(len(a))
         k = np.argmax(hit, axis=1)
@@ -135,103 +118,21 @@ def _roots(fn, grid: np.ndarray) -> tuple[list, np.ndarray]:
         b = np.where(k < SCAN_POINTS, inner[i, j], b)
         exact = f[i, j] == 0.0
         if exact.any():
-            found_rows.append(row[exact])
             found.append(b[exact])
-            a, b, side, row = a[~exact], b[~exact], side[~exact], row[~exact]
-    roots: list[list[float]] = [[] for _ in grid]
-    for r, x in zip(np.concatenate(found_rows).tolist(), np.concatenate(found).tolist()):
-        roots[r].append(x)
-    for r, xs in enumerate(roots):
-        deduped: list[float] = []
-        for x in sorted(xs):
-            if not deduped or x - deduped[-1] > 1e-9 * max(1.0, abs(x)):
-                deduped.append(x)
-        roots[r] = deduped
+            a, b, side = a[~exact], b[~exact], side[~exact]
+    roots: list[float] = []
+    for x in sorted(np.concatenate(found).tolist()):
+        if not roots or x - roots[-1] > 1e-9 * max(1.0, abs(x)):
+            roots.append(x)
     return roots, values
 
 
-@dataclass(frozen=True)
-class _Position:
-    """The specs at one member position of a planner pass's rows, grouped by stack key."""
-
-    stacks: list[SpecStack]
-    stack: np.ndarray  # each row's index in stacks (-1: no member there)
-    index: np.ndarray  # each row's spec index in its stack
-    groups: dict = field(default_factory=dict)  # row set's bytes -> its _by_term groups here
-
-
-def _slots(rows: list[list[CostSpec]]) -> list[_Position]:
-    """A ``_Position`` of the rows' specs per member position."""
-    slots = []
-    for k in range(max(map(len, rows))):
-        stacks: dict[tuple, dict[CostSpec, int]] = {}
-        placed = []  # per row: (stack index, spec index in it)
-        for specs in rows:
-            if k >= len(specs):
-                placed.append((-1, 0))
-                continue
-            key = specs[k].stack_key()
-            stack = stacks.setdefault(key, {})
-            placed.append((list(stacks).index(key), stack.setdefault(specs[k], len(stack))))
-        slots.append(_Position([SpecStack(list(stack)) for stack in stacks.values()],
-                               *np.array(placed).T))
-    return slots
-
-
-def _by_term(slots: list[_Position], rows: np.ndarray):
-    """Per member position and stack present there: the ``rows`` entries with
-    a spec of that stack, and the spec stacked over them.
-
-    The entries are a slice when they are one run (always so when the pass's
-    specs share one stack key and its problems are listed by alliance size),
-    else an index array.  A position groups each row set once and yields the
-    same groups to every later call on those rows (the grid call and the
-    rounds where each row keeps one bracket).
-    """
-    key = rows.tobytes()
-    for slot in slots:
-        if key not in slot.groups:
-            at = slot.stack[rows]
-            groups = slot.groups[key] = []
-            for s, stack in enumerate(slot.stacks):
-                sel = np.flatnonzero(at == s)
-                if not sel.size:
-                    continue
-                first, last = sel[[0, -1]].tolist()
-                order = slice(first, last + 1) if last - first + 1 == len(sel) else sel
-                groups.append((order, stack.take(slot.index[rows[sel]])))
-        yield from slot.groups[key]
-
-
-def _row_sums(slots: list[_Position], lam: np.ndarray, at: np.ndarray, bounds: ScopeBounds,
-              cost) -> list[np.ndarray]:
-    """Each row's sums of ``cost(spec, sigma)`` and of sigma over its members,
-    where sigma is a member's bound-clipped inverse marginal at ``lam``.
-
-    Row j of ``lam`` belongs to pass row ``at[j]``.  The sums run position
-    by position, so each row adds its terms in its own order.  They start
-    from the first group's values when it covers every row, else from zeros
-    (0 + t is t: no term is -0.0).
-    """
-    sums: list[np.ndarray] = []
-    for order, spec in _by_term(slots, at):
-        sig = np.clip(spec.inverse_marginal(lam[order]), bounds.lo, bounds.hi)
-        vals = cost(spec, sig), sig
-        if not sums and len(sig) == len(lam):
-            sums = list(vals)
-            continue
-        sums = sums or [np.zeros_like(lam) for _ in vals]
-        for into, value in zip(sums, vals):
-            into[order] += value
-    return sums
-
-
-def _problem_specs(problems) -> list[dict[int, CostSpec]]:
-    """Each (alliance, costs) problem's members, sorted, mapped to their cost specs."""
-    out = [{i: costs[i] for i in as_alliance(alliance, len(costs))} for alliance, costs in problems]
-    if not all(out):
+def _problem_specs(alliance: Iterable[int], costs: Sequence[CostSpec]) -> dict[int, CostSpec]:
+    """The alliance's members, sorted, mapped to their cost specs."""
+    specs = {i: costs[i] for i in as_alliance(alliance, len(costs))}
+    if not specs:
         raise ValueError("alliance must be non-empty")
-    return out
+    return specs
 
 
 def _reply_grid(spec: CostSpec, bounds: ScopeBounds, totals: np.ndarray) -> np.ndarray:
@@ -257,17 +158,17 @@ def equilibrium_scopes(
     agents is split equally among them and the profile is flagged degenerate
     when two or more agents share it.
     """
-    [specs] = _problem_specs([(alliance, costs)])
+    specs = _problem_specs(alliance, costs)
     members = tuple(specs)
     grid = np.linspace(len(specs) * bounds.lo, len(specs) * bounds.hi, SCAN_POINTS)
     # Agents with equal specs reply alike: one term per distinct spec.
     counts = Counter(specs.values())
 
-    def reply_gap(totals: np.ndarray, _) -> np.ndarray:
+    def reply_gap(totals: np.ndarray) -> np.ndarray:
         return sum(count * _reply_grid(spec, bounds, totals)
                    for spec, count in counts.items()) - totals
 
-    [roots], [h_grid] = _roots(reply_gap, grid[None])
+    roots, h_grid = _roots(reply_gap, grid)
     warnings: list[str] = []
     if not roots:
         raise SolverError(
@@ -408,50 +309,26 @@ def _exponential_profile(specs: dict[int, CostSpec], bounds: ScopeBounds, at_lo:
     return _planner_profile(specs, lam, sig, ())
 
 
-def _planner_pass(problems, bounds: ScopeBounds) -> list[ScopeProfile]:
-    rows = _problem_specs(problems)
-    # c' at each bound, once per distinct spec, all at lo first as a single solve
-    # does, and for closed-form rows too, so that they raise where the grid would.
-    distinct = dict.fromkeys(spec for specs in rows for spec in specs.values())
-    at_lo = {spec: spec.marginal(bounds.lo) for spec in distinct}
-    at_hi = {spec: spec.marginal(bounds.hi) for spec in distinct}
-    # For exponential costs, gap / lam = sum(2 C_i / lam - sigma_i) strictly falls
-    # in lam (an interior term is (2 - log(lam beta_i / b_i)) / b_i, a clipped one
-    # 2 c(bound) / lam - bound), so a closed-form multiplier is the only root.
-    closed = [_exponential_profile(specs, bounds, at_lo, at_hi) for specs in rows]
-    open_rows = [specs for specs, prof in zip(rows, closed) if prof is None]
-    solved = iter(_grid_profiles(open_rows, at_lo, at_hi, bounds) if open_rows else ())
-    return [next(solved) if prof is None else prof for prof in closed]
+def _grid_profile(specs: dict[int, CostSpec], at_lo: dict, at_hi: dict,
+                  bounds: ScopeBounds) -> ScopeProfile:
+    """The profile of a problem solved on a multiplier grid, refined by k-section."""
+    lam_lo = 0.999 * min(at_lo[spec] for spec in specs.values())
+    lam_hi = 1.001 * max(at_hi[spec] for spec in specs.values())
+    grid = np.geomspace(lam_lo, lam_hi, SCAN_POINTS)
 
-
-def _grid_profiles(rows: list[dict[int, CostSpec]], at_lo: dict, at_hi: dict,
-                   bounds: ScopeBounds) -> list[ScopeProfile]:
-    """Profiles of rows solved on a multiplier grid, refined by k-section."""
-    lam_lo = [0.999 * min(at_lo[spec] for spec in specs.values()) for specs in rows]
-    lam_hi = [1.001 * max(at_hi[spec] for spec in specs.values()) for specs in rows]
-    grids = np.geomspace(lam_lo, lam_hi, SCAN_POINTS, axis=1)
-    slots = _slots([list(specs.values()) for specs in rows])
-
-    def gap(lam: np.ndarray, at: np.ndarray) -> np.ndarray:
+    def gap(lam: np.ndarray) -> np.ndarray:
         # One error state for the whole gap: 2 * sum(C) - lam * sum(sigma) may
-        # overflow to -inf quietly, and a cost is checked through its sum.
+        # overflow to -inf quietly.  The guarded cost() raises for the first
+        # non-finite term; finite terms with an infinite sum pass.
         with np.errstate(all="ignore"):
-            cost_sum, scope_sum = _row_sums(slots, lam, at, bounds, CostSpec.bare_cost)
-            if not np.isfinite(cost_sum).all():
-                # The guarded cost() raises for the first non-finite term, as
-                # a solve alone would; finite terms with an infinite sum pass.
-                cost_sum, scope_sum = _row_sums(slots, lam, at, bounds, CostSpec.cost)
-            cost_sum *= 2.0
-            scope_sum *= lam
-            cost_sum -= scope_sum
-        return cost_sum
+            sigs = [np.clip(spec.inverse_marginal(lam), bounds.lo, bounds.hi)
+                    for spec in specs.values()]
+            cost_sum = sum(spec.cost(sig) for spec, sig in zip(specs.values(), sigs))
+            return 2.0 * cost_sum - lam * sum(sigs)
 
-    roots, gaps = _roots(gap, grids)
-    out = []
-    for r, (specs, grid) in enumerate(zip(rows, grids)):
-        lam, warnings = _grid_multiplier(grid, roots[r], gaps[r], lambda x, at, r=r: gap(x, at + r))
-        out.append(_planner_profile(specs, lam, _clipped_scopes(specs, lam, bounds), warnings))
-    return out
+    roots, gaps = _roots(gap, grid)
+    lam, warnings = _grid_multiplier(grid, roots, gaps, gap)
+    return _planner_profile(specs, lam, _clipped_scopes(specs, lam, bounds), warnings)
 
 
 def _grid_multiplier(lam_grid: np.ndarray, roots: list[float], g_grid: np.ndarray,
@@ -479,10 +356,10 @@ def _grid_multiplier(lam_grid: np.ndarray, roots: list[float], g_grid: np.ndarra
         if j > 0:
             side = np.sign(g_grid[j - 1])
             edges, _ = _roots(
-                lambda x, at: np.where(np.abs(gap(x, at)) <= ZERO_TOL, -side, side),
-                lam_grid[None, j - 1:j + 1],
+                lambda x: np.where(np.abs(gap(x)) <= ZERO_TOL, -side, side),
+                lam_grid[j - 1:j + 1],
             )
-            edge = edges[0][0]
+            edge = edges[0]
         lam = min(lam, edge)
         warnings.append(
             f"optimality gap is zero for multipliers {edge:.6g} to {lam_grid[end]:.6g}; "
@@ -519,28 +396,35 @@ def _planner_profile(specs: dict[int, CostSpec], lam: float, sig: dict[int, floa
 
 
 def planner_scopes(
-    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds
+    alliance: Iterable[int], costs: Sequence[CostSpec], bounds: ScopeBounds,
+    marginals: dict | None = None,
 ) -> ScopeProfile:
-    """Solve the planner's common-marginal-cost scope system for one alliance."""
-    return _planner_pass([(alliance, costs)], bounds)[0]
+    """Solve the planner's common-marginal-cost scope system for one alliance.
 
-
-def planner_profiles(problems, bounds: ScopeBounds) -> list[ScopeProfile | None]:
-    """``planner_scopes`` of each (alliance, costs) problem, solved in batched
-    passes of at most PASS_ROWS; a pass that raises gives None for its problems."""
-    out: list[ScopeProfile | None] = []
-    for start in range(0, len(problems), PASS_ROWS):
-        part = problems[start:start + PASS_ROWS]
-        try:
-            out += _planner_pass(part, bounds)
-        except (TeamSearchError, ValueError):
-            out += [None] * len(part)
-    return out
+    ``marginals`` memoizes c' at the bounds by bounds and then spec, as a
+    pair of dicts for lo and hi (a fresh memo when None); a memo shared with
+    solves of other alliances or at other bounds changes no result.
+    """
+    specs = _problem_specs(alliance, costs)
+    # c' at each bound, all at lo first, and for closed-form problems too, so
+    # that they raise where the grid would.  A spec with c'(hi) in the memo
+    # has c'(lo) there too.
+    at_lo, at_hi = ({}, {}) if marginals is None else marginals.setdefault(bounds, ({}, {}))
+    new = [spec for spec in specs.values() if spec not in at_hi]
+    for at, x in ((at_lo, bounds.lo), (at_hi, bounds.hi)):
+        for spec in new:
+            if spec not in at:
+                at[spec] = spec.marginal(x)
+    # For exponential costs, gap / lam = sum(2 C_i / lam - sigma_i) strictly falls
+    # in lam (an interior term is (2 - log(lam beta_i / b_i)) / b_i, a clipped one
+    # 2 c(bound) / lam - bound), so a closed-form multiplier is the only root.
+    profile = _exponential_profile(specs, bounds, at_lo, at_hi)
+    return _grid_profile(specs, at_lo, at_hi, bounds) if profile is None else profile
 
 
 def _member_specs(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
     """The members' cost specs: all of them that any solve reads."""
-    return tuple(costs[i] for i in alliance)
+    return tuple(map(costs.__getitem__, alliance))
 
 
 def _reply_pattern(alliance: Alliance, costs: Sequence[CostSpec]) -> tuple:
@@ -556,10 +440,11 @@ class ProfileCache:
     """Profiles of one mode, ``"eq"`` or ``"sp"``, each solved once.
 
     A mode solves by ``equilibrium_scopes`` or ``planner_scopes`` (this
-    module's bindings when the cache is built); only a planner cache
-    prefetches.  Entries are keyed by (alliance, the members' reply pattern
-    or specs, bounds): all that a solve reads, so one cache serves any number
-    of cost lists.
+    module's bindings when the cache is built).  Entries are keyed by
+    (alliance, the members' reply pattern or specs, bounds): all that a solve
+    reads, so one cache serves any number of cost lists.  A planner cache
+    also hands all its solves one memo of c' at the scope bounds, so each
+    distinct spec's c' at a bound is evaluated once.
     """
 
     def __init__(self, mode: str):
@@ -568,31 +453,17 @@ class ProfileCache:
         self.mode = mode
         self.solve, self._key = {"eq": (equilibrium_scopes, _reply_pattern),
                                  "sp": (planner_scopes, _member_specs)}[mode]
+        self._memo = ({},) if mode == "sp" else ()  # c' at the bounds, for all planner solves
         self._profiles: dict[tuple, ScopeProfile] = {}
 
     def profile(
         self, alliance: Alliance, costs: Sequence[CostSpec], bounds: ScopeBounds
     ) -> ScopeProfile:
         key = (alliance, self._key(alliance, costs), bounds)
-        if key not in self._profiles:
-            self._profiles[key] = self.solve(alliance, costs, bounds)
-        return self._profiles[key]
-
-    def prefetch(self, problems, bounds: ScopeBounds) -> None:
-        """Solve the uncached (alliance, costs) problems together in batched passes.
-
-        They go in largest alliance first (a stable sort), so in each pass
-        every member position's terms are one run of rows, read through a
-        slice.  A problem a failed pass leaves unsolved is left to ``profile``,
-        which solves it alone and so raises its error as that solve would.
-        """
-        if self.mode != "sp":
-            raise ValueError(f"only a planner ProfileCache prefetches, not {self.mode!r}")
-        todo = {(a, self._key(a, c), bounds): (a, c) for a, c in problems}
-        keys = sorted((key for key in todo if key not in self._profiles), key=lambda k: -len(k[0]))
-        for key, prof in zip(keys, planner_profiles([todo[key] for key in keys], bounds)):
-            if prof is not None:
-                self._profiles[key] = prof
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = self._profiles[key] = self.solve(alliance, costs, bounds, *self._memo)
+        return profile
 
 
 def interior_capacity(cost: CostSpec, bounds: ScopeBounds) -> int:

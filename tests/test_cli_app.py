@@ -356,8 +356,8 @@ def test_cost_domain_error_is_one_line(tmp_path):
 
 def test_scan_matches_per_cell_reference_loop(tmp_path):
     # Cells straddle beta2 = 1, e^(1/3), beta3 = e^(4/3) and beta3 = e*beta2,
-    # so every exit pattern occurs; the scan's batched passes and per-row memo
-    # must give what each cell gives solved on its own.
+    # so every exit pattern occurs; the scan's shared memos must give what
+    # each cell gives solved on its own.
     from teamsearch.costs import ScaledExponential, ScopeBounds
     from teamsearch.equilibrium import equilibrium_exit_schedule
     from teamsearch.planner import optimal_chain

@@ -33,32 +33,6 @@ def test_no_module_imports_a_private_sibling_name():
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
-def test_only_scopes_picks_a_batched_solve():
-    # A ProfileCache picks its batched solve from its mode, so no sibling of
-    # scopes.py imports one.
-    batched = {"planner_profiles"}
-    offenders = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                 for alias in node.names}
-        if names & batched:
-            offenders[path.name] = sorted(names & batched)
-    assert offenders == {}
-
-
-def test_only_the_planner_prefetches():
-    # The planner alone decides which alliances a chain search reads, so it
-    # alone asks a ProfileCache to solve them ahead.
-    callers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "prefetch" for node in ast.walk(tree)):
-            callers.add(path.name)
-    assert callers == {"planner.py"}
-
-
 def test_each_memo_is_built_by_its_owner():
     # The equilibrium and the planner each build the profile memo their
     # schedules or chains share; the CLI builds one only for `solve`, and the

@@ -27,7 +27,6 @@ from teamsearch.scopes import (
     as_alliance,
     equilibrium_scopes,
     interior_capacity,
-    planner_profiles,
     planner_scopes,
 )
 
@@ -288,7 +287,7 @@ def _bisection_roots(fn, grid):
 def test_root_primitive_matches_scalar_bisection(fn, grid):
     from teamsearch.scopes import _roots
 
-    (roots,), (values,) = _roots(lambda x, rows: fn(x), grid[None])
+    roots, values = _roots(fn, grid)
     np.testing.assert_array_equal(values, fn(grid))
     expected = _bisection_roots(fn, grid)
     assert len(roots) == len(expected)
@@ -360,16 +359,11 @@ def _solve_or_error(solve, alliance, costs, bounds):
         return exc
 
 
-@pytest.mark.parametrize("pass_rows", [1, 3, None])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
-    if pass_rows is not None:
-        monkeypatch.setattr(scopes_module, "PASS_ROWS", pass_rows)
-    rows = scopes_module.PASS_ROWS
+def test_single_solves_equal_the_reference(seed):
     seen = set()
     for bounds, problems in _problem_sets(seed):
-        for solve, many in ((equilibrium_scopes, None), (planner_scopes, planner_profiles)):
-            # A single solve is a pass of one; it must equal the pre-batching solver.
+        for solve in (equilibrium_scopes, planner_scopes):
             single = [_solve_or_error(solve, a, c, bounds) for a, c in problems]
             reference = REFERENCE[solve]
             for (a, c), alone in zip(problems, single):
@@ -379,17 +373,8 @@ def test_batched_passes_equal_single_solves(monkeypatch, seed, pass_rows):
                 elif isinstance(want, Exception):
                     assert (type(alone), str(alone)) == (type(want), str(want))
                 else:
+                    # Every field (per_agent, total, warnings, residual, ...) is equal.
                     assert alone == want
-            if many is not None:  # only the planner solves in batched passes
-                batched = many(problems, bounds)
-                assert len(batched) == len(problems)
-                for start in range(0, len(problems), rows):
-                    part = single[start:start + rows]
-                    failed = any(isinstance(s, Exception) for s in part)
-                    for alone, together in zip(part, batched[start:start + rows]):
-                        # A pass that raises stores nothing; otherwise every field
-                        # (per_agent, total, warnings, residual, ...) is equal.
-                        assert together is None if failed else together == alone
             for s in single:
                 if isinstance(s, Exception):
                     seen.add("error")
@@ -480,33 +465,29 @@ def _matches_reference(alone, want, alliance, costs, bounds) -> bool:
     return True
 
 
-def _each_alone(problems, bounds):
-    """``equilibrium_scopes`` of each problem: equilibrium problems are solved one at a time."""
-    return [equilibrium_scopes(a, c, bounds) for a, c in problems]
+def _capturing(real, into):
+    """``real``, a root finder, that adds each SCAN_POINTS grid's gap values to ``into``."""
+    def roots(fn, grid):
+        found, values = real(fn, grid)
+        if grid.shape[-1] == SCAN_POINTS:
+            into.append(values)
+        return found, values
+    return roots
 
 
-def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
+def test_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
     # Profiles can agree while gap values differ in the last bit (the roots
-    # rarely move); the grids themselves must match, so each row's sums must
-    # run in that problem's own order.
+    # rarely move); the grids themselves must match, so each gap must sum its
+    # terms in the problem's own order.
     this = sys.modules[__name__]
-    captured = {"batched": [], "reference": []}
-
-    def capturing(real, into):
-        def roots(fn, grid):
-            found, values = real(fn, grid)
-            if grid.shape[-1] == SCAN_POINTS:
-                into.extend(np.atleast_2d(values))
-            return found, values
-        return roots
-
+    captured = {"solver": [], "reference": []}
     monkeypatch.setattr(scopes_module, "_roots",
-                        capturing(scopes_module._roots, captured["batched"]))
+                        _capturing(scopes_module._roots, captured["solver"]))
     monkeypatch.setattr(this, "_reference_roots",
-                        capturing(_reference_roots, captured["reference"]))
+                        _capturing(_reference_roots, captured["reference"]))
     closed = 0
     for bounds, problems in _problem_sets(3):
-        for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
+        for solve in (equilibrium_scopes, planner_scopes):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
@@ -514,14 +495,13 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
             # A closed-form planner row builds no grid: only the others' grids are compared.
             gridded = [solve is equilibrium_scopes or _builds_grid(a, c, bounds)
                        for a, c in solvable]
-            captured["batched"].clear()
+            captured["solver"].clear()
             captured["reference"].clear()
             references = [REFERENCE[solve](a, c, bounds) for a, c in solvable]
-            profiles = many(solvable, bounds)
-            assert all(p is not None for p in profiles)
+            profiles = [solve(a, c, bounds) for a, c in solvable]
             want_grids = [g for g, on in zip(captured["reference"], gridded) if on]
-            assert len(captured["batched"]) == len(want_grids) == sum(gridded)
-            for got, want in zip(captured["batched"], want_grids):
+            assert len(captured["solver"]) == len(want_grids) == sum(gridded)
+            for got, want in zip(captured["solver"], want_grids):
                 assert got.tobytes() == want.tobytes()
             for (a, c), prof, ref, on in zip(solvable, profiles, references, gridded):
                 if not on:
@@ -529,17 +509,17 @@ def test_batched_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
     assert closed > 0
 
 
-def test_prefetch_leaves_failed_problems_to_a_single_solve():
+def test_planner_cache_keys_profiles_by_member_specs_and_bounds():
     good = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
     # The overflow case of test_planner_gap_overflow_raises_the_guarded_cost_error.
     bad, bounds = [ScaledPower(a=5e305, p=2.0)], ScopeBounds(0.1, 100.0)
     cache = ProfileCache("sp")
-    cache.prefetch([((0, 1), good), ((0,), bad), ((0,), good)], bounds)
-    with pytest.raises(CostDomainError) as batched:
+    cache.profile((0, 1), good, bounds)
+    with pytest.raises(CostDomainError) as cached:
         cache.profile((0,), bad, bounds)
     with pytest.raises(CostDomainError) as alone:
         planner_scopes((0,), bad, bounds)
-    assert str(batched.value) == str(alone.value)
+    assert str(cached.value) == str(alone.value)
     # The memo is keyed by member specs and bounds, so another cost list
     # reuses a profile and other bounds do not.
     assert cache.profile((0,), [good[0], bad[0]], bounds) is cache.profile((0,), good, bounds)
@@ -549,8 +529,7 @@ def test_prefetch_leaves_failed_problems_to_a_single_solve():
 
 
 # The single-problem solvers as they were before batched passes, kept
-# verbatim as the reference that every batched or single solve must equal
-# bit for bit.
+# verbatim as the reference that every solve must equal bit for bit.
 
 def _reference_roots(fn, grid: np.ndarray) -> tuple[list[float], np.ndarray]:
     """Sorted, de-duplicated zeros of the vector function ``fn``, and ``fn`` on ``grid``.
@@ -771,8 +750,8 @@ REFERENCE = {
 }
 
 
-def _stacked_problem_sets(seed):
-    """Seeded (bounds, problems) sets whose passes stack many specs per family.
+def _many_spec_problem_sets(seed):
+    """Seeded (bounds, problems) sets with many distinct specs per family.
 
     Every drawn spec has its own beta (or a, or affine coefficients), scaled
     powers mix p in {2, 2.5, 3, 4}, and about a quarter of the members reuse
@@ -805,71 +784,40 @@ def _stacked_problem_sets(seed):
         yield bounds, problems
 
 
-def test_stacked_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
-    # Passes of PASS_ROWS = 16 rows evaluate each member position's terms by
-    # stack key, so one call covers many specs; every grid value must still
-    # equal the per-spec reference solver's.
-    assert scopes_module.PASS_ROWS == 16
+def test_many_spec_gap_grids_equal_the_reference_bit_for_bit(monkeypatch):
+    # Planner problems solved one after another with one memo of c' at the
+    # bounds: every grid value must still equal the per-spec reference solver's.
     this = sys.modules[__name__]
-    captured = {"batched": [], "reference": []}
-    stacked = set()
-
-    def capturing(real, into):
-        def roots(fn, grid):
-            found, values = real(fn, grid)
-            if grid.shape[-1] == SCAN_POINTS:
-                into.extend(np.atleast_2d(values))
-            return found, values
-        return roots
-
-    real_take = scopes_module.SpecStack.take
-
-    def take(stack, rows):
-        if len(set(rows.tolist())) > 1:
-            stacked.add(stack.family.__name__)
-        return real_take(stack, rows)
-
-    monkeypatch.setattr(scopes_module.SpecStack, "take", take)
+    captured = {"solver": [], "reference": []}
     monkeypatch.setattr(scopes_module, "_roots",
-                        capturing(scopes_module._roots, captured["batched"]))
+                        _capturing(scopes_module._roots, captured["solver"]))
     monkeypatch.setattr(this, "_reference_roots",
-                        capturing(_reference_roots, captured["reference"]))
+                        _capturing(_reference_roots, captured["reference"]))
     compared = closed = 0
-    for bounds, problems in _stacked_problem_sets(5):
-        for solve, many in ((equilibrium_scopes, _each_alone), (planner_scopes, planner_profiles)):
+    for bounds, problems in _many_spec_problem_sets(5):
+        for solve in (equilibrium_scopes, planner_scopes):
             solvable = [
                 (a, c) for a, c in problems
                 if not isinstance(_solve_or_error(REFERENCE[solve], a, c, bounds), Exception)
             ]
             gridded = [solve is equilibrium_scopes or _builds_grid(a, c, bounds)
                        for a, c in solvable]
-            captured["batched"].clear()
+            captured["solver"].clear()
             captured["reference"].clear()
             references = [REFERENCE[solve](a, c, bounds) for a, c in solvable]
-            profiles = many(solvable, bounds)
+            memo = (({},) if solve is planner_scopes else ())
+            profiles = [solve(a, c, bounds, *memo) for a, c in solvable]
             for (a, c), prof, ref, on in zip(solvable, profiles, references, gridded):
                 if on:
                     assert prof == ref
                 else:
                     closed += _matches_reference(prof, ref, a, c, bounds)
             want_grids = [g for g, on in zip(captured["reference"], gridded) if on]
-            assert len(captured["batched"]) == len(want_grids) == sum(gridded)
-            for got, want in zip(captured["batched"], want_grids):
+            assert len(captured["solver"]) == len(want_grids) == sum(gridded)
+            for got, want in zip(captured["solver"], want_grids):
                 assert got.tobytes() == want.tobytes()
             compared += sum(gridded)
     assert compared > 200 and closed > 0
-    assert stacked == {"ScaledExponential", "ScaledPower", "AffineQuadratic"}
-
-
-def test_stacked_spec_takes_columns_and_keeps_exponents_scalar():
-    specs = [ScaledPower(a=1.0, p=3.0, beta=2.0), ScaledPower(a=2.5, p=3.0)]
-    stack = scopes_module.SpecStack(specs)
-    spec = stack.take(np.array([1, 0, 1]))
-    assert spec.p == 3.0 and spec.a.shape == spec.beta.shape == (3, 1)
-    sigma = np.linspace(0.1, 2.0, 12).reshape(3, 4)
-    for row, k in enumerate([1, 0, 1]):
-        assert spec.cost(sigma)[row].tobytes() == specs[k].cost(sigma[row]).tobytes()
-    assert specs[0].stack_key() == specs[1].stack_key() != ScaledPower(a=1.0, p=2.0).stack_key()
 
 
 def test_reply_pattern_memo_keeps_split_and_merged_specs_apart():
@@ -907,111 +855,8 @@ def test_planner_gap_overflow_raises_the_guarded_cost_error():
         with pytest.raises(CostDomainError) as raised:
             solve((0,), costs, bounds)
         assert str(raised.value) == text
-    assert planner_profiles([((0,), costs)], bounds) == [None]
-
-
-def _mixed_scan_row():
-    """The cells of one row (beta3 = 12) of the 96-step scenarios/scan.json,
-    with agent 3 an affine agent: every suffix alliance has a non-exponential
-    member, so every planner row takes the grid (and each has one root)."""
-    return [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
-             AffineQuadratic(1.0, 0.0, 0.01)]
-            for b2 in np.arange(1, 97) * 0.25 if 12.0 > b2 > 1.0]
-
-
-def test_alliance_major_scan_row_takes_slices_and_keeps_every_profile(monkeypatch):
-    # A scan-like row: cell-major is how the row's problems were once listed,
-    # alliance-major how scan lists them.  Alliance-major, every member
-    # position's terms are one run of rows, so the pass reads them through slices.
-    cells = _mixed_scan_row()
-    alliances = ((0, 1, 2), (1, 2), (2,))
-    cell_major = [(a, c) for c in cells for a in alliances]
-    alliance_major = [(a, c) for a in alliances for c in cells]
-    orders = []
-    real_by_term = scopes_module._by_term
-
-    def recording(slots, rows):
-        for order, spec in real_by_term(slots, rows):
-            orders.append(order)
-            yield order, spec
-
-    before = dict(zip(map(repr, cell_major), planner_profiles(cell_major, WIDE)))
-    monkeypatch.setattr(scopes_module, "_by_term", recording)
-    after = dict(zip(map(repr, alliance_major), planner_profiles(alliance_major, WIDE)))
-    monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
-    assert None not in after.values()
-    assert after == before
-    assert len(cells) == 43 and len(orders) == 100
-    assert all(isinstance(order, slice) for order in orders)
-
-
-def test_cell_major_prefetch_takes_slices_and_keeps_every_profile(monkeypatch):
-    # The same scan-like row listed cell by cell: prefetch orders the problems
-    # largest alliance first itself, so its passes still read every member
-    # position's terms through slices, and each profile is a single solve's.
-    cells = _mixed_scan_row()
-    cell_major = [(a, c) for c in cells for a in ((0, 1, 2), (1, 2), (2,))]
-    orders = []
-    real_by_term = scopes_module._by_term
-
-    def recording(slots, rows):
-        for order, spec in real_by_term(slots, rows):
-            orders.append(order)
-            yield order, spec
-
-    cache = ProfileCache("sp")
-    monkeypatch.setattr(scopes_module, "_by_term", recording)
-    cache.prefetch(cell_major, WIDE)
-    monkeypatch.setattr(scopes_module, "_by_term", real_by_term)
-    assert len(cache._profiles) == 2 * len(cells) + 1  # the cells share (2,)
-    assert len(orders) > 50 and all(isinstance(order, slice) for order in orders)
-    for alliance, costs in cell_major:
-        assert cache.profile(alliance, costs, WIDE) == planner_scopes(alliance, costs, WIDE)
-
-
-def test_mixed_pass_groups_terms_by_position_and_stack():
-    # Four rows whose positions mix two families, with row 2 lacking a term at
-    # position 1 and the exponential terms at position 0 not one run.
-    e1, e2, e3 = (ScaledExponential(b=1.0, beta=beta) for beta in (1.0, 3.0, 7.0))
-    p1, p2, p3 = (ScaledPower(a=a, p=3.0) for a in (0.5, 1.5, 2.5))
-    terms = [[e1, p1], [p2, e2], [e3], [e1, p3]]
-    slots = scopes_module._slots(terms)
-    x_all = np.linspace(0.2, 3.0, 30).reshape(6, 5)
-    for rows in (np.arange(4), np.array([0, 2, 2, 3, 3, 1])):
-        x = x_all[:len(rows)]
-        groups = list(scopes_module._by_term(slots, rows))
-        # One group per (position, family) present, families in pass order.
-        want = []
-        for k in range(2):
-            for family in dict.fromkeys(type(t[k]) for t in terms if k < len(t)):
-                entries = [j for j, r in enumerate(rows)
-                           if k < len(terms[r]) and type(terms[r][k]) is family]
-                want += [(k, family, entries)] if entries else []
-        assert len(groups) == len(want)
-        for (order, spec), (k, family, entries) in zip(groups, want):
-            assert np.arange(len(rows))[order].tolist() == entries
-            contiguous = entries[-1] - entries[0] + 1 == len(entries)
-            assert isinstance(order, slice) == contiguous
-            own = [terms[rows[j]][k] for j in entries]
-            assert type(spec) is family
-            got = spec.cost(x[order])
-            for i, s in enumerate(own):
-                assert got[i].tobytes() == s.cost(x[entries[i]]).tobytes()
-        assert not all(isinstance(order, slice) for order, _ in groups)
-        bounds = ScopeBounds(0.3, 1.5)
-        cost, scope = scopes_module._row_sums(slots, x, rows, bounds, CostSpec.cost)
-        for j, r in enumerate(rows):
-            c = m = None
-            for s in terms[r]:
-                sig = np.clip(s.inverse_marginal(x[j]), bounds.lo, bounds.hi)
-                c = s.cost(sig) if c is None else c + s.cost(sig)
-                m = sig if m is None else m + sig
-            assert cost[j].tobytes() == c.tobytes() and scope[j].tobytes() == m.tobytes()
-
-
-def test_stack_of_one_spec_is_that_spec():
-    spec = ScaledPower(a=1.0, p=3.0, beta=2.0)
-    assert scopes_module.SpecStack([spec]).take(np.array([0, 0, 0])) is spec
+    with pytest.raises(CostDomainError, match="at sigma=18.97192945909745"):
+        ProfileCache("sp").profile((0,), costs, bounds)
 
 
 def test_reply_pattern_finds_first_equal_specs_in_linear_time():
@@ -1041,85 +886,6 @@ def test_reply_pattern_finds_first_equal_specs_in_linear_time():
         specs = tuple(costs[i] for i in alliance)
         assert scopes_module._reply_pattern(alliance, costs) == (
             tuple(spec.reply_key() for spec in specs), tuple(map(specs.index, specs)))
-
-
-@pytest.mark.parametrize("specs, rows", [
-    ([ScaledExponential(b=1.0, beta=1.0), ScaledExponential(b=1.0, beta=3.0),
-      ScaledExponential(b=1.0, beta=7.5)], [2, 0, 1, 2]),
-    ([ScaledPower(a=2.0, p=3.0, beta=1.0), ScaledPower(a=2.0, p=3.0, beta=4.0)], [1, 0, 1]),
-    ([AffineQuadratic(a2=1.5, a1=0.0, a0=0.5), AffineQuadratic(a2=1.5, a1=0.25, a0=0.5),
-      AffineQuadratic(a2=1.5, a1=0.75, a0=0.5)], [0, 2, 1, 0]),
-], ids=["exp", "pow", "affine"])
-def test_stacked_spec_keeps_shared_parameters_as_floats(specs, rows):
-    # A parameter every spec of the stack shares is one float, not a column;
-    # each element still gets its own spec's bits from every method.
-    spec = scopes_module.SpecStack(specs).take(np.array(rows))
-    for name in specs[0].__dataclass_fields__:
-        values = {getattr(s, name) for s in specs}
-        value = getattr(spec, name)
-        if len(values) == 1:
-            assert type(value) is float and value == values.pop()
-        else:
-            assert value.shape == (len(rows), 1)
-    x = np.linspace(0.1, 5.0, 6 * len(rows)).reshape(len(rows), 6)
-    for method in ("cost", "marginal", "inverse_marginal", "ratio", "scope_at_ratio"):
-        if isinstance(specs[0], ScaledExponential) and method == "scope_at_ratio":
-            for s in (spec, specs[0]):
-                with pytest.raises(CostDomainError):
-                    s.scope_at_ratio(x)
-            continue
-        got = getattr(spec, method)(x)
-        for j, k in enumerate(rows):
-            assert got[j].tobytes() == getattr(specs[k], method)(x[j]).tobytes(), method
-
-
-def test_stacked_spec_keeps_signed_zeros_apart():
-    # 0.0 and -0.0 compare equal but may round differently: not a shared value.
-    specs = [AffineQuadratic(a2=1.0, a1=0.0, a0=1.0), AffineQuadratic(a2=1.0, a1=-0.0, a0=2.0)]
-    spec = scopes_module.SpecStack(specs).take(np.array([0, 1]))
-    assert spec.a2 == 1.0 and np.signbit(spec.a1.ravel()).tolist() == [False, True]
-
-
-def test_planner_pass_takes_each_stack_once_per_row_set(monkeypatch):
-    # A pass groups its terms once per row set: the grid call and the rounds
-    # in which every row keeps its one bracket reuse the grid call's groups.
-    cells = _mixed_scan_row()
-    problems = [(a, c) for a in ((0, 1, 2), (1, 2), (2,)) for c in cells]
-    takes, stacks, yields = {}, [], [0]
-    real_take = scopes_module.SpecStack.take
-
-    def take(stack, rows):
-        stacks.append(stack)  # kept alive, so no id is reused
-        key = id(stack), rows.tobytes()
-        takes[key] = takes.get(key, 0) + 1
-        return real_take(stack, rows)
-
-    real_by_term = scopes_module._by_term
-
-    def by_term(slots, rows):
-        for group in real_by_term(slots, rows):
-            yields[0] += 1
-            yield group
-
-    monkeypatch.setattr(scopes_module.SpecStack, "take", take)
-    monkeypatch.setattr(scopes_module, "_by_term", by_term)
-    profiles = planner_profiles(problems, WIDE)
-    monkeypatch.undo()
-    assert takes and max(takes.values()) == 1
-    assert yields[0] > 2 * len(takes)  # the rounds reuse the grid call's groups
-    for (alliance, costs), prof in zip(problems, profiles):
-        assert prof == planner_scopes(alliance, costs, WIDE)
-
-
-def test_only_a_planner_cache_prefetches():
-    # Equilibrium problems are solved one at a time, so an equilibrium memo
-    # refuses a batched solve and stays empty.
-    costs = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.0)]
-    cache = ProfileCache("eq")
-    with pytest.raises(ValueError, match="only a planner ProfileCache prefetches"):
-        cache.prefetch([((0, 1), costs), ((1,), costs)], WIDE)
-    assert cache._profiles == {}
-    assert cache.profile((0, 1), costs, WIDE) == equilibrium_scopes((0, 1), costs, WIDE)
 
 
 @pytest.mark.parametrize("b", [0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 4.0])
@@ -1186,7 +952,9 @@ def test_closed_form_overflow_falls_to_the_grid_and_its_error():
         assert str(raised.value) == text
 
 
-def test_pass_of_closed_form_and_grid_rows_equals_each_solve_alone():
+def test_planner_cache_of_closed_form_and_grid_rows_equals_each_solve_alone():
+    # One cache's memo of c' at the bounds, shared by closed-form and grid
+    # rows, changes no profile.
     exp = [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.5),
            ScaledExponential(b=2.0, beta=4.0)]
     mixed = [ScaledPower(a=1.0, p=3.0), ScaledExponential(b=1.0, beta=3.0),
@@ -1195,7 +963,9 @@ def test_pass_of_closed_form_and_grid_rows_equals_each_solve_alone():
                 ((0,), exp), ((2,), mixed), ((0, 2), exp), ((0, 1), mixed)]
     gridded = [_builds_grid(a, c, WIDE) for a, c in problems]
     assert gridded == [False, True, False, True, False, True, False, True]
-    assert planner_profiles(problems, WIDE) == [planner_scopes(a, c, WIDE) for a, c in problems]
+    cache = ProfileCache("sp")
+    assert [cache.profile(a, c, WIDE) for a, c in problems] == [
+        planner_scopes(a, c, WIDE) for a, c in problems]
 
 
 @pytest.mark.parametrize("costs, bounds", [
@@ -1208,30 +978,22 @@ def test_bound_touching_exponential_rows_keep_the_grid(monkeypatch, costs, bound
     # A row whose root lies outside the grid's bracket keeps the grid and
     # gives the reference's error, bit for bit.
     this = sys.modules[__name__]
-    captured = {"batched": [], "reference": []}
-
-    def capturing(real, into):
-        def roots(fn, grid):
-            found, values = real(fn, grid)
-            into.extend(np.atleast_2d(values))
-            return found, values
-        return roots
-
+    captured = {"solver": [], "reference": []}
     monkeypatch.setattr(scopes_module, "_roots",
-                        capturing(scopes_module._roots, captured["batched"]))
+                        _capturing(scopes_module._roots, captured["solver"]))
     monkeypatch.setattr(this, "_reference_roots",
-                        capturing(_reference_roots, captured["reference"]))
+                        _capturing(_reference_roots, captured["reference"]))
     alliance = tuple(range(len(costs)))
     got = _solve_or_error(planner_scopes, alliance, costs, bounds)
     want = _solve_or_error(reference_planner_scopes, alliance, costs, bounds)
     if isinstance(want, Exception):
         assert str(want).startswith("no planner multiplier")
         assert (type(got), str(got)) == (type(want), str(want))
-        assert len(captured["batched"]) == len(captured["reference"]) == 1
-        assert captured["batched"][0].tobytes() == captured["reference"][0].tobytes()
+        assert len(captured["solver"]) == len(captured["reference"]) == 1
+        assert captured["solver"][0].tobytes() == captured["reference"][0].tobytes()
     else:
         assert bounds.lo in want.per_agent.values() and bounds.lo in got.per_agent.values()
-        assert captured["batched"] == []
+        assert captured["solver"] == []
         assert _matches_reference(got, want, alliance, costs, bounds)
 
 
@@ -1338,3 +1100,47 @@ def test_segment_exponent_past_the_float_range_keeps_the_grid():
         assert (type(got), str(got)) == (type(want), str(want))
     else:
         assert got == want and got.per_agent[0] == bounds.lo
+
+
+def test_planner_cache_evaluates_each_specs_marginal_once_per_bound(monkeypatch):
+    # A sorted 40-agent greedy solves 40 suffixes, which share their specs,
+    # through one ProfileCache("sp"): its memo evaluates c' once per distinct
+    # spec at each bound.  Every scope is interior, so no other solve step
+    # reads c' at a bound.
+    from teamsearch.costs import CostFamily
+    from teamsearch.planner import optimal_chain
+
+    costs = [ScaledExponential(b=1.0, beta=1.0 + 0.05 * i) for i in range(40)]
+    calls = []
+    real = CostFamily.marginal
+
+    def marginal(spec, sigma):
+        calls.append((spec, sigma))
+        return real(spec, sigma)
+
+    monkeypatch.setattr(CostFamily, "marginal", marginal)
+    chain = optimal_chain(costs, WIDE)
+    monkeypatch.undo()
+    assert all(WIDE.lo < s < WIDE.hi for p in chain.profiles for s in p.per_agent.values())
+    at_bounds = [(spec, sigma) for spec, sigma in calls if sigma in (WIDE.lo, WIDE.hi)]
+    assert sorted(at_bounds, key=repr) == sorted(
+        [(spec, x) for spec in costs for x in (WIDE.lo, WIDE.hi)], key=repr)
+
+
+def test_planner_solve_raises_the_first_error_at_lo_with_any_memo():
+    # c' at lo is read for every member before c' at hi: the b = 1000 member
+    # overflows at lo = 1, the b = 1 member only at hi = 800, so the solve
+    # names sigma = 1.0, whether the memo is cold or already holds c'(lo) of
+    # the b = 1 member (from a solve of it alone, which failed at hi).
+    cheap, steep = ScaledExponential(b=1.0), ScaledExponential(b=1000.0)
+    bounds = ScopeBounds(1, 800)
+    text = "ScaledExponential(b=1000.0, beta=1.0) produced a non-finite value at sigma=1.0"
+    memo = {}
+    for _ in range(2):  # a memo holding c'(lo) alone still reads c'(hi)
+        with pytest.raises(CostDomainError, match=r"ScaledExponential\(b=1.0, .* at sigma=800.0"):
+            planner_scopes((0,), [cheap], bounds, memo)
+        assert memo == {bounds: ({cheap: cheap.marginal(1.0)}, {})}
+    for marginals in (None, {}, memo):
+        with pytest.raises(CostDomainError) as raised:
+            planner_scopes((0, 1), [cheap, steep], bounds, marginals)
+        assert str(raised.value) == text

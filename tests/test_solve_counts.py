@@ -19,20 +19,20 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.fixture
 def solved(monkeypatch):
-    """Alliances solved, by mode: each equilibrium solve's, and each planner pass's."""
+    """Alliances solved, by mode: each equilibrium and each planner solve's."""
     seen = {"eq": [], "sp": []}
-    real_eq, real_sp = scopes_module.equilibrium_scopes, scopes_module._planner_pass
+    real_eq, real_sp = scopes_module.equilibrium_scopes, scopes_module.planner_scopes
 
     def solving(alliance, costs, bounds):
         seen["eq"].append(tuple(alliance))
         return real_eq(alliance, costs, bounds)
 
-    def passing(problems, bounds):
-        seen["sp"].extend(tuple(alliance) for alliance, _ in problems)
-        return real_sp(problems, bounds)
+    def planning(alliance, costs, bounds, *memo):
+        seen["sp"].append(tuple(alliance))
+        return real_sp(alliance, costs, bounds, *memo)
 
     monkeypatch.setattr(scopes_module, "equilibrium_scopes", solving)
-    monkeypatch.setattr(scopes_module, "_planner_pass", passing)
+    monkeypatch.setattr(scopes_module, "planner_scopes", planning)
     return seen
 
 
@@ -75,49 +75,53 @@ def test_scan_solves_three_equilibria(solved, monkeypatch, tmp_path):
     assert len(caches) == 1 + 12  # and one planner memo per grid row
 
 
-def test_greedy_chain_solves_its_suffixes_in_batched_passes(monkeypatch, tmp_path):
-    # The greedy chain prefetches all n suffix alliances, so a sorted 40-agent
-    # team makes ceil(40 / PASS_ROWS) planner passes, not one per suffix, and
-    # prints what it prints when each suffix is solved alone.
+def bare_planner_solves(monkeypatch):
+    """Make every planner solve take a fresh memo of c' at the bounds."""
+    real = scopes_module.planner_scopes
+    monkeypatch.setattr(scopes_module, "planner_scopes",
+                        lambda alliance, costs, bounds, *memo: real(alliance, costs, bounds))
+
+
+def test_greedy_chain_solves_each_suffix_once(solved, monkeypatch, tmp_path):
+    # A sorted 40-agent team solves each of its 40 suffix alliances once, and
+    # prints what it prints when every suffix is solved by a bare solve.
     agents = [{"family": "scaled_exponential", "b": 1.0, "beta": 1.0 + 0.05 * i}
               for i in range(40)]
     path = tmp_path / "sorted40.json"
     path.write_text(json.dumps({"agents": agents, "scope_bounds": {"lo": 0.1, "hi": 10.0}}),
                     encoding="utf-8")
     argv = ["schedule", str(path), "--mode", "sp"]
-    passes = [0]
-    real = scopes_module._planner_pass
-
-    def counting(problems, bounds):
-        passes[0] += 1
-        return real(problems, bounds)
-
-    monkeypatch.setattr(scopes_module, "_planner_pass", counting)
     out = run(argv)
-    assert passes[0] <= 3
-    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", lambda *args: None)
-    passes[0] = 0
+    assert sorted(solved["sp"]) == [tuple(range(j, 40)) for j in range(40)]
+    assert out == (GOLDEN / "sorted40.schedule-sp.txt").read_text(encoding="utf-8")
+    bare_planner_solves(monkeypatch)
     assert run(argv) == out
-    assert passes[0] == 40
 
 
-def test_scan_prefetches_once_per_row(monkeypatch, tmp_path):
-    # The planner solves a row's suffix alliances for all its cells in one
-    # prefetch, and builds each cell's chain from them; the CSV is the one
-    # printed when every alliance is solved alone.
+def test_scan_row_memo_solves_each_distinct_suffix_problem_once(monkeypatch, tmp_path):
+    # Each grid row's chains share one planner cache, so its memo of c' at
+    # the bounds sees each distinct (suffix alliance, member specs) problem
+    # once; the CSV is the one printed when every solve is a bare one.
     doc = json.loads((SCENARIOS / "scan.json").read_text(encoding="utf-8"))
     doc["scan"]["steps"] = 12
     path = tmp_path / "scan.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    calls = [0]
-    real = scopes_module.ProfileCache.prefetch
+    problems = {}  # id of a row's memo -> the problems solved with it
+    memos = []  # kept alive, so no id is reused
+    real = scopes_module.planner_scopes
 
-    def counting(self, problems, bounds):
-        calls[0] += 1
-        return real(self, problems, bounds)
+    def counting(alliance, costs, bounds, memo):
+        memos.append(memo)
+        problems.setdefault(id(memo), []).append(
+            (tuple(alliance), tuple(costs[i] for i in alliance)))
+        return real(alliance, costs, bounds, memo)
 
-    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", counting)
+    monkeypatch.setattr(scopes_module, "planner_scopes", counting)
     out = run(["scan", str(path)])
-    assert calls[0] == 12
-    monkeypatch.setattr(scopes_module.ProfileCache, "prefetch", lambda *args: None)
+    assert len(problems) == 11  # the beta3 = 2 row has no cell with beta3 > beta2 > 1
+    for solved in problems.values():
+        assert len(solved) == len(set(solved))
+        assert {alliance for alliance, _ in solved} == {(0, 1, 2), (1, 2), (2,)}
+    monkeypatch.undo()
+    bare_planner_solves(monkeypatch)
     assert run(["scan", str(path)]) == out
