@@ -385,6 +385,43 @@ def test_single_solves_equal_the_reference(seed):
     assert seen >= {"error", "bound", "multiple", "reply", "optimality", "closed"}
 
 
+@pytest.mark.parametrize("mode", ["shared", "reversed", "warm"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planner_solves_sharing_a_memo_equal_the_reference(seed, mode):
+    # One memo of c' at the bounds serves every problem of every set: filled
+    # in problem order, in reverse order, or by a first pass before the pass
+    # that is checked.  It changes no profile and no error.
+    memo, sets = {}, list(_problem_sets(seed))
+    if mode == "reversed":
+        sets = [(bounds, problems[::-1]) for bounds, problems in sets]
+
+    def solve(alliance, costs, bounds):
+        return planner_scopes(alliance, costs, bounds, memo)
+
+    if mode == "warm":
+        for bounds, problems in sets:
+            for a, c in problems:
+                _solve_or_error(solve, a, c, bounds)
+    warmed = {bounds: tuple(map(len, pair)) for bounds, pair in memo.items()}
+    seen = set()
+    for bounds, problems in sets:
+        for a, c in problems:
+            got = _solve_or_error(solve, a, c, bounds)
+            want = _solve_or_error(reference_planner_scopes, a, c, bounds)
+            if _matches_reference(got, want, a, c, bounds):
+                seen.add("closed")
+            elif isinstance(want, Exception):
+                seen.add("error")
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                seen.add("grid")
+                assert got == want
+    assert seen == {"closed", "error", "grid"}
+    assert set(memo) == {bounds for bounds, _ in sets}
+    if mode == "warm":  # the checked pass found every c' it read in the memo
+        assert {bounds: tuple(map(len, pair)) for bounds, pair in memo.items()} == warmed
+
+
 def _builds_grid(alliance, costs, bounds) -> bool:
     """Whether a planner solve of the problem alone calls ``_roots``, solved or not."""
     calls = []
@@ -1144,3 +1181,85 @@ def test_planner_solve_raises_the_first_error_at_lo_with_any_memo():
         with pytest.raises(CostDomainError) as raised:
             planner_scopes((0, 1), [cheap, steep], bounds, marginals)
         assert str(raised.value) == text
+
+
+@pytest.mark.parametrize("cheap", [ScaledPower(a=1e303, p=3.0), AffineQuadratic(1e306, 0.0, 1.0)],
+                         ids=["pow", "affine"])
+@pytest.mark.parametrize("memo", ["none", "cold", "warm"])
+def test_planner_solve_of_any_family_raises_the_first_error_at_lo(memo, cheap):
+    # As for the b = 1 exponential member: a member of another family whose
+    # c' overflows only at hi = 800 is read at lo first, so the b = 1000
+    # member's overflow at lo = 1 is the error, and the memo keeps the
+    # cheap member's c'(lo) and no c' at hi.
+    steep, bounds = ScaledExponential(b=1000.0), ScopeBounds(1, 800)
+    marginals = None if memo == "none" else {}
+    if memo == "warm":
+        with pytest.raises(CostDomainError, match=r"non-finite value at sigma=800\.0"):
+            planner_scopes((0,), [cheap], bounds, marginals)
+    with pytest.raises(CostDomainError) as raised:
+        planner_scopes((0, 1), [cheap, steep], bounds, marginals)
+    assert str(raised.value) == (
+        "ScaledExponential(b=1000.0, beta=1.0) produced a non-finite value at sigma=1.0")
+    if marginals is not None:
+        assert marginals == {bounds: ({cheap: cheap.marginal(1.0)}, {})}
+
+
+@pytest.mark.parametrize("costs", [
+    [ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=2.5),
+     ScaledExponential(b=2.0, beta=4.0)],
+    [ScaledPower(a=1.0, p=3.0), ScaledPower(a=2.0, p=2.5, beta=1.5), ScaledPower(a=0.5, p=4.0)],
+    [AffineQuadratic(1.0, 0.0, 1.0), AffineQuadratic(0.5, 0.5, 2.0),
+     AffineQuadratic(2.0, 1.0, 0.25)],
+], ids=["exp", "pow", "affine"])
+def test_memo_shared_across_bounds_keeps_each_bounds_apart(costs):
+    # One memo serves solves at three bounds: each solve equals a bare one,
+    # and the memo holds, per bounds, each spec's own c' at lo and at hi.
+    memo, all_bounds = {}, (WIDE, ScopeBounds(0.5, 2.5), ScopeBounds(0.01, 50.0))
+    solved = 0
+    for bounds in all_bounds:
+        for alliance in ((0, 1, 2), (1, 2), (0,), (2,)):
+            got = _solve_or_error(lambda a, c, b: planner_scopes(a, c, b, memo),
+                                  alliance, costs, bounds)
+            want = _solve_or_error(planner_scopes, alliance, costs, bounds)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                solved += 1
+                assert got == want
+    assert solved > 0
+    assert list(memo) == list(all_bounds)
+    for bounds, (at_lo, at_hi) in memo.items():
+        assert list(at_lo) == list(at_hi) == costs
+        for spec in costs:
+            assert at_lo[spec].hex() == spec.marginal(bounds.lo).hex()
+            assert at_hi[spec].hex() == spec.marginal(bounds.hi).hex()
+
+
+def _mixed_scan_row():
+    """The cells of one row (beta3 = 12) of the 96-step scenarios/scan.json,
+    with agent 3 an affine agent: every suffix alliance has a non-exponential
+    member, so every planner row takes the grid (and each has one root)."""
+    return [[ScaledExponential(b=1.0), ScaledExponential(b=1.0, beta=b2),
+             AffineQuadratic(1.0, 0.0, 0.01)]
+            for b2 in np.arange(1, 97) * 0.25 if 12.0 > b2 > 1.0]
+
+
+@pytest.mark.parametrize("order", ["alliance_major", "cell_major"])
+def test_scan_row_cache_keeps_every_profile_in_either_order(order):
+    # A scan-like row through one planner cache, listed alliance by alliance
+    # or cell by cell: the memo holds c' at the bounds once per distinct spec,
+    # and every profile is a bare solve's.
+    cells = _mixed_scan_row()
+    alliances = ((0, 1, 2), (1, 2), (2,))
+    problems = ([(a, c) for a in alliances for c in cells] if order == "alliance_major"
+                else [(a, c) for c in cells for a in alliances])
+    cache = ProfileCache("sp")
+    profiles = [cache.profile(a, c, WIDE) for a, c in problems]
+    assert len(cells) == 43 and len(cache._profiles) == 2 * len(cells) + 1  # (2,) is shared
+    (marginals,) = cache._memo
+    distinct = {spec for c in cells for spec in c}
+    assert len(distinct) == 45 and list(marginals) == [WIDE]
+    assert set(marginals[WIDE][0]) == set(marginals[WIDE][1]) == distinct
+    for (a, c), profile in zip(problems, profiles):
+        assert _builds_grid(a, c, WIDE)
+        assert profile == planner_scopes(a, c, WIDE)

@@ -7,6 +7,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import teamsearch.cli as cli
@@ -125,3 +126,30 @@ def test_scan_row_memo_solves_each_distinct_suffix_problem_once(monkeypatch, tmp
     monkeypatch.undo()
     bare_planner_solves(monkeypatch)
     assert run(["scan", str(path)]) == out
+
+
+@pytest.mark.parametrize("team", ["reversed", "shuffled", "repeated"])
+def test_greedy_chain_of_any_agent_order_solves_each_suffix_once(solved, monkeypatch, tmp_path,
+                                                                  team):
+    # Listed in reverse, shuffled, or with each beta held by two agents (so
+    # equal specs share memo entries), a 40-agent proportional team still
+    # solves one nested chain of 40 suffix alliances, each once, and prints
+    # what it prints when every suffix is solved by a bare solve.
+    betas = [1.0 + 0.05 * i for i in range(40)]
+    if team == "reversed":
+        betas.reverse()
+    elif team == "shuffled":
+        betas = [betas[k] for k in np.random.default_rng(7).permutation(40)]
+    else:
+        betas = [1.0 + 0.1 * (i // 2) for i in range(40)]
+    agents = [{"family": "scaled_exponential", "b": 1.0, "beta": beta} for beta in betas]
+    path = tmp_path / f"{team}40.json"
+    path.write_text(json.dumps({"agents": agents, "scope_bounds": {"lo": 0.1, "hi": 10.0}}),
+                    encoding="utf-8")
+    argv = ["schedule", str(path), "--mode", "sp"]
+    out = run(argv)
+    chain = sorted(solved["sp"], key=len)
+    assert [len(alliance) for alliance in chain] == list(range(1, 41))
+    assert all(set(small) < set(large) for small, large in zip(chain, chain[1:]))
+    bare_planner_solves(monkeypatch)
+    assert run(argv) == out
