@@ -18,6 +18,7 @@ from .costs import (
     ScaledExponential,
     ScaledPower,
     ScopeBounds,
+    cost_issues,
     validate_cost,
 )
 from .equilibrium import (
@@ -104,6 +105,7 @@ __all__ = [
     "as_alliance",
     "brute_force_optimal_chain",
     "chain_welfare",
+    "cost_issues",
     "enumerate_chains",
     "equilibrium_drawdowns",
     "equilibrium_exit_schedule",

@@ -31,7 +31,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .costs import FAMILIES, CostSpec, ScopeBounds, validate_cost
+from .costs import FAMILIES, CostSpec, ScopeBounds, cost_issues
 from .equilibrium import equilibrium_drawdowns, equilibrium_exit_schedule
 from .errors import SimulationError, TeamSearchError, ValidationError
 from .penalty import PenaltyConfig, PenaltySpec, expected_penalty_payoffs, penalty_policy
@@ -148,9 +148,9 @@ def parse_scenario(document) -> ScenarioConfig:
     )
     bounds = _build(ScopeBounds, document["scope_bounds"], "scope_bounds")
     for i, spec in enumerate(agents):
-        report = validate_cost(spec, bounds)
-        if not report.valid:
-            raise ValidationError(f"agents[{i}] invalid: {'; '.join(report.issues)}")
+        issues = cost_issues(spec, bounds)
+        if issues:
+            raise ValidationError(f"agents[{i}] invalid: {'; '.join(issues)}")
     sections = {key: _build(cls, document[key], key)
                 for key, cls in _SECTIONS.items() if key in document}
     if "scan" in sections:

@@ -19,6 +19,16 @@ the scalar scope below which its c, c' and c'' cannot overflow
 (``_scalar_bound``), ``proportional_key`` and ``cost_multiplier``, and a
 closed-form ``ratio`` where one exists, with the ``reply_key`` that ratio
 depends on.
+
+``cost_issues`` is the check a scenario's agents pass: c positive, strictly
+increasing and at least ``CONVEXITY_FLOOR`` convex on [lo, hi], and finite
+there.  Within its family's rules a spec's c, c' and c'' do not decrease in
+sigma, so the check reads them at lo and their finiteness at hi.  The
+``VALIDATION_GRID``-point grid is kept where its answer can differ: for a
+spec that breaks its rules, where an evaluation at a bound raises (so the
+error names the first offending grid scope), and for the ``log_convex``
+flag of ``validate_cost``, whose rounding slack makes its endpoints no
+proof.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from .errors import CostDomainError
 SCOPE_FLOOR = 1e-9
 # Every family must stay at least this convex on the admissible interval.
 CONVEXITY_FLOOR = 1e-9
-# Grid resolution used by validate_cost.
+# Grid resolution of the grid checks in cost_issues and validate_cost.
 VALIDATION_GRID = 1001
 # Natural log of the largest magnitude a scalar evaluation may reach without
 # numpy's error state (float64 overflows past about 709.78).
@@ -329,26 +339,55 @@ class CostValidation:
     issues: tuple[str, ...]
 
 
-def validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
-    """Grid-check a cost spec on [lo, hi]: positive, increasing, uniformly convex.
+def _on_grid(spec: CostSpec, bounds: ScopeBounds) -> tuple[np.ndarray, ...]:
+    """c, c' and c'' on the validation grid; the guards raise for the first offender."""
+    grid = np.linspace(bounds.lo, bounds.hi, VALIDATION_GRID)
+    return spec.cost(grid), spec.marginal(grid), spec.curvature(grid)
 
-    Also reports whether the family is (weakly) log-convex on the interval,
-    which stronger comparative-statics properties require.
+
+def _shape_issues(c: float, m: float, k: float) -> list[str]:
+    """The shape checks that the least finite c, c' and c'' on [lo, hi] fail."""
+    checks = ((c <= 0, "cost must be positive on the scope interval"),
+              (m <= 0, "cost must be strictly increasing on the scope interval"),
+              (k < CONVEXITY_FLOOR, f"cost curvature must stay above {CONVEXITY_FLOOR}"))
+    return [issue for bad, issue in checks if bad]
+
+
+def cost_issues(spec: CostSpec, bounds: ScopeBounds) -> tuple[str, ...]:
+    """What keeps a cost spec from being positive, increasing and uniformly
+    convex on [lo, hi], as the grid check finds it; empty when it is.
+
+    A spec within its family's rules has c, c' and c'' that do not decrease
+    on sigma >= 0, so the checks are read at lo and finiteness at hi, from six
+    scalar evaluations.  A spec that breaks its rules, or an evaluation at a
+    bound that raises, takes the grid, whose error names the first offending
+    grid scope.
     """
     issues = spec.parameter_issues()
-    grid = np.linspace(bounds.lo, bounds.hi, VALIDATION_GRID)
+    if not issues:
+        try:
+            at_lo = spec.cost(bounds.lo), spec.marginal(bounds.lo), spec.curvature(bounds.lo)
+            spec.cost(bounds.hi), spec.marginal(bounds.hi), spec.curvature(bounds.hi)
+        except (CostDomainError, ValueError):
+            pass
+        else:
+            return tuple(_shape_issues(*at_lo))
     try:
-        c, m, k = spec.cost(grid), spec.marginal(grid), spec.curvature(grid)
+        c, m, k = _on_grid(spec, bounds)
     except (CostDomainError, ValueError) as exc:
-        issues.append(str(exc))
-        return CostValidation(valid=False, log_convex=False, issues=tuple(issues))
+        return (*issues, str(exc))
+    return (*issues, *_shape_issues(c.min(), m.min(), k.min()))
 
-    if np.any(c <= 0):
-        issues.append("cost must be positive on the scope interval")
-    if np.any(m <= 0):
-        issues.append("cost must be strictly increasing on the scope interval")
-    if np.any(k < CONVEXITY_FLOOR):
-        issues.append(f"cost curvature must stay above {CONVEXITY_FLOOR}")
+
+def validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
+    """``cost_issues``, and whether the family is (weakly) log-convex on the
+    grid, which stronger comparative-statics properties require.
+    """
+    issues = cost_issues(spec, bounds)
+    try:
+        c, m, k = _on_grid(spec, bounds)
+    except (CostDomainError, ValueError):
+        return CostValidation(valid=False, log_convex=False, issues=issues)
     # Weak log-convexity, c*c'' >= (c')^2 up to rounding slack, compared in the
     # scale-free form u >= v^2 with u = c''/c and v = c'/c: the products of c
     # and its derivatives can overflow where the ratios do not.
@@ -356,5 +395,4 @@ def validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
     if np.all(c > 0):
         u, v2 = k / c, (m / c) ** 2
         log_convex = bool(np.all(u - v2 >= -1e-12 * np.maximum(1.0, np.maximum(np.abs(u), v2))))
-
-    return CostValidation(valid=not issues, log_convex=log_convex, issues=tuple(issues))
+    return CostValidation(valid=not issues, log_convex=log_convex, issues=issues)

@@ -69,8 +69,7 @@ class _Links:
     def cost_per_speed(self, alliance: Alliance) -> float:
         if alliance not in self._cost_per_speed:
             prof = self.profile(alliance)
-            total_cost = sum(self.costs[i].cost(prof.per_agent[i]) for i in alliance)
-            self._cost_per_speed[alliance] = total_cost / (prof.total * prof.total)
+            self._cost_per_speed[alliance] = prof.cost_sum / (prof.total * prof.total)
         return self._cost_per_speed[alliance]
 
 

@@ -64,14 +64,21 @@ def check_template(agents: Sequence[CostSpec]) -> None:
         raise ValidationError("scan template agents must all have beta = 1.0")
 
 
+def _row(unit: ScaledExponential, beta2s: np.ndarray, b3: float) -> dict:
+    """The solved cells (beta2 > 1, beta3 > beta2) of one beta3 row, by beta2."""
+    third = replace(unit, beta=b3)
+    return {b2: [unit, replace(unit, beta=b2), third] for b2 in beta2s if b3 > b2 > 1.0}
+
+
 def scan_cells(agents: Sequence[CostSpec], bounds: ScopeBounds, spec: ScanSpec) -> Iterator:
     """(beta2, beta3, equilibrium waves, planner exits) per cell, beta2 fastest; [] if unsolved."""
     check_template(agents)
     beta2s, beta3s = (lo + np.arange(1, spec.steps + 1, dtype=float) * (hi - lo) / spec.steps
                       for lo, hi in (spec.beta2_range, spec.beta3_range))
-    # A schedule is made when asked for, so a row's chains are solved before its cascades.
-    rows, later = tee({b2: [replace(agents[0], beta=beta) for beta in (1.0, b2, b3)]
-                       for b2 in beta2s if b3 > b2 > 1.0} for b3 in beta3s)
+    # A schedule is made when asked for, so a row's chains are solved before its
+    # cascades.  The template's agents have beta = 1, and a row's cells share
+    # its beta3 spec.
+    rows, later = tee(_row(agents[0], beta2s, b3) for b3 in beta3s)
     schedules = exit_schedules(((range(3), c) for row in later for c in row.values()), bounds)
     for b3, cells in zip(beta3s, rows):
         chains = dict(zip(cells, optimal_chains(list(cells.values()), bounds)))

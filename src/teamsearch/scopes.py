@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +63,9 @@ class ScopeProfile:
     the solution (clipping may still touch a bound exactly without binding).
     ``degenerate`` marks the constant-ratio case where the per-agent split is
     indeterminate and the equal-treatment rule was applied.  ``residual`` is
-    the defining-equation residual at the returned solution.
+    the defining-equation residual at the returned solution.  ``cost_sum``,
+    on a planner profile, is the members' cost rates summed in member order;
+    it takes no part in comparisons.
     """
 
     per_agent: dict[int, float]
@@ -72,6 +74,7 @@ class ScopeProfile:
     degenerate: bool
     residual: float
     warnings: tuple[str, ...] = ()
+    cost_sum: float | None = field(default=None, compare=False, repr=False)
 
     def scopes(self, members: Sequence[int] | None = None) -> np.ndarray:
         keys = list(self.per_agent) if members is None else list(members)
@@ -379,7 +382,8 @@ def _planner_profile(specs: dict[int, CostSpec], lam: float, sig: dict[int, floa
     """The profile of scopes ``sig`` at multiplier ``lam``, its residual checked."""
     members = tuple(specs)
     total = sum(sig.values())
-    residual = abs(2.0 * sum(specs[i].cost(sig[i]) for i in members) - lam * total)
+    cost_sum = sum(specs[i].cost(sig[i]) for i in members)
+    residual = abs(2.0 * cost_sum - lam * total)
     if residual > 1e-10 * max(1.0, lam * total):
         raise SolverError(f"planner optimality residual {residual:.3g} out of tolerance")
     interior = all(
@@ -392,6 +396,7 @@ def _planner_profile(specs: dict[int, CostSpec], lam: float, sig: dict[int, floa
         degenerate=False,
         residual=residual,
         warnings=warnings,
+        cost_sum=cost_sum,
     )
 
 

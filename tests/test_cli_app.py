@@ -740,3 +740,95 @@ def test_scan_spec_names_an_int_grid_numerator_past_the_float_range():
     text = str(raised.value)
     assert text.startswith("steps * (hi - lo) overflows for the beta range [0, 1000")
     assert len(text.splitlines()) == 1 and len(text.encode()) < 200
+
+
+def test_validate_checks_rule_abiding_agents_at_their_bounds_only(capsys, monkeypatch, tmp_path):
+    # Agents within their family's rules are checked from c, c' and c'' at
+    # lo and hi: six scalar evaluations each, and no array, so no grid.
+    import numpy as np
+
+    from teamsearch import cli
+    from teamsearch.costs import CostFamily
+
+    calls, arrays = [0], [0]
+    real = CostFamily._evaluate
+
+    def counting(self, expr, sigma):
+        calls[0] += 1
+        arrays[0] += isinstance(sigma, np.ndarray)
+        return real(self, expr, sigma)
+
+    monkeypatch.setattr(CostFamily, "_evaluate", counting)
+    doc = {"agents": [{"family": "scaled_exponential", "b": 0.5 + 0.01 * (i % 100),
+                       "beta": 1.0 + 0.05 * i} for i in range(1000)],
+           "scope_bounds": {"lo": 0.1, "hi": 10.0}}
+    assert cli.main(["validate", write_scenario(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (calls[0], arrays[0]) == (6000, 0)
+
+
+E, P, A = "scaled_exponential", "scaled_power", "affine_quadratic"
+
+
+@pytest.mark.parametrize("agents, bounds, line", [
+    ([{"family": A, "a2": -1.0, "a1": 0.0, "a0": 1.0}], [0.1, 2.0],
+     "agents[0] invalid: quadratic coefficient a2 must be positive; cost must be positive on "
+     "the scope interval; cost must be strictly increasing on the scope interval; cost "
+     "curvature must stay above 1e-09"),
+    ([{"family": E, "b": -2.0, "beta": 1.0}], [0.1, 2.0],
+     "agents[0] invalid: rate b must be positive; cost must be strictly increasing on the "
+     "scope interval"),
+    ([{"family": P, "a": 1.0, "p": 1.5, "beta": 1.0}], [0.1, 2.0],
+     "agents[0] invalid: exponent p must be >= 2"),
+    ([{"family": E, "b": 1.0, "beta": 0.5}], [0.1, 2.0],
+     "agents[0] invalid: divisor beta must be >= 1"),
+    ([{"family": E, "b": 1000.0}], [0.1, 4.0],
+     "agents[0] invalid: ScaledExponential(b=1000.0, beta=1.0) produced a non-finite value "
+     "at sigma=0.7122999999999999"),
+    ([{"family": E, "b": 1.0}], [1.0, 800.0],
+     "agents[0] invalid: ScaledExponential(b=1.0, beta=1.0) produced a non-finite value at "
+     "sigma=710.5120000000001"),
+    ([{"family": P, "a": 1.0, "p": 300.0}], [0.1, 100.0],
+     "agents[0] invalid: ScaledPower(a=1.0, p=300.0, beta=1.0) produced a non-finite value "
+     "at sigma=10.6894"),
+    ([{"family": P, "a": 1e300, "p": 1e10}], [0.5, 2.0],
+     "agents[0] invalid: ScaledPower(a=1e+300, p=10000000000.0, beta=1.0) produced a "
+     "non-finite value at sigma=1.001"),
+    ([{"family": E, "b": 1e-300, "beta": 1e300}], [0.1, 10.0],
+     "agents[0] invalid: cost must be strictly increasing on the scope interval; cost "
+     "curvature must stay above 1e-09"),
+    ([{"family": A, "a2": 1e-10, "a1": 0.0, "a0": 1.0}], [0.1, 10.0],
+     "agents[0] invalid: cost curvature must stay above 1e-09"),
+    ([{"family": P, "a": 1e-12, "p": 2.0}], [0.1, 10.0],
+     "agents[0] invalid: cost curvature must stay above 1e-09"),
+    ([{"family": A, "a2": 1.0, "a1": -5.0, "a0": -1.0}], [0.1, 10.0],
+     "agents[0] invalid: linear coefficient a1 must be non-negative; constant a0 must be "
+     "positive; cost must be positive on the scope interval; cost must be strictly "
+     "increasing on the scope interval"),
+    ([{"family": A, "a2": 1e200, "a1": 0.0, "a0": 1.0}], [0.1, 1e60],
+     "agents[0] invalid: AffineQuadratic(a2=1e+200, a1=0.0, a0=1.0) produced a non-finite "
+     "value at sigma=9.999999999999999e+56"),
+    ([{"family": P, "a": 1e-10, "p": 2.0}], [3.0, 3.0],
+     "agents[0] invalid: cost curvature must stay above 1e-09"),
+    ([{"family": E, "b": 1e-12}], [1e-9, 1e-9],
+     "agents[0] invalid: cost curvature must stay above 1e-09"),
+    ([{"family": E, "b": 1.0, "beta": 2.0},
+      {"family": P, "a": 2.0, "p": 2.0, "beta": 0.0}], [0.1, 10.0],
+     "agents[1] invalid: divisor beta must be >= 1; ScaledPower(a=2.0, p=2.0, beta=0.0) "
+     "produced a non-finite value at sigma=0.1"),
+    ([{"family": E, "b": 1.0}, {"family": E, "b": 0.5, "beta": 3.0},
+      {"family": E, "b": 1e154}], [0.1, 10.0],
+     "agents[2] invalid: ScaledExponential(b=1e+154, beta=1.0) produced a non-finite value "
+     "at sigma=0.1"),
+    ([{"family": A, "a2": 1e308, "a1": 0.0, "a0": 1.0}], [1e-9, 1e-9],
+     "agents[0] invalid: AffineQuadratic(a2=1e+308, a1=0.0, a0=1.0) produced a non-finite "
+     "value at sigma=1e-09"),
+    ([{"family": P, "a": 1.0, "p": 2.0, "beta": 1.0}], [1e6, 1e160],
+     "agents[0] invalid: ScaledPower(a=1.0, p=2.0, beta=1.0) produced a non-finite value at "
+     "sigma=1e+157"),
+])
+def test_invalid_agent_lines_name_the_grid_offender(capsys, tmp_path, agents, bounds, line):
+    # Rule-breaking agents and agents whose cost overflows inside [lo, hi]
+    # keep the grid's issues, in order, and its first offending grid scope.
+    doc = {"agents": agents, "scope_bounds": {"lo": bounds[0], "hi": bounds[1]}}
+    assert main_error(capsys, doc, tmp_path) == f"error: {line}\n"

@@ -3,7 +3,9 @@
 They check the shared base: every input form (float, numpy float64, 0-d and
 1-D arrays) gives the same bits, ratio is 2c/c', and the inverses invert.
 They also check the premise of a reply-key memo: an exponential or power
-team's equilibrium profile does not read the cost scale (beta, a).
+team's equilibrium profile does not read the cost scale (beta, a).  And they
+check ``cost_issues`` and ``validate_cost`` against the grid check kept
+verbatim as ``reference_validate_cost``.
 """
 
 from __future__ import annotations
@@ -13,10 +15,22 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teamsearch.costs import AffineQuadratic, ScaledExponential, ScaledPower, ScopeBounds
+from teamsearch.costs import (
+    CONVEXITY_FLOOR,
+    SCOPE_FLOOR,
+    VALIDATION_GRID,
+    AffineQuadratic,
+    CostSpec,
+    CostValidation,
+    ScaledExponential,
+    ScaledPower,
+    ScopeBounds,
+    cost_issues,
+    validate_cost,
+)
 from teamsearch.errors import CostDomainError, TeamSearchError
 from teamsearch.scopes import equilibrium_scopes
 
@@ -191,3 +205,125 @@ def test_scalar_path_keeps_bits_and_errors_up_to_the_overflow_edge(spec, fractio
                 if x >= edge:
                     assert got[0] is CostDomainError
                     assert got[1] == f"{spec!r} produced a non-finite value at sigma={x!r}"
+
+
+def reference_validate_cost(spec: CostSpec, bounds: ScopeBounds) -> CostValidation:
+    """Grid-check a cost spec on [lo, hi]: positive, increasing, uniformly convex.
+
+    Also reports whether the family is (weakly) log-convex on the interval,
+    which stronger comparative-statics properties require.
+    """
+    issues = spec.parameter_issues()
+    grid = np.linspace(bounds.lo, bounds.hi, VALIDATION_GRID)
+    try:
+        c, m, k = spec.cost(grid), spec.marginal(grid), spec.curvature(grid)
+    except (CostDomainError, ValueError) as exc:
+        issues.append(str(exc))
+        return CostValidation(valid=False, log_convex=False, issues=tuple(issues))
+
+    if np.any(c <= 0):
+        issues.append("cost must be positive on the scope interval")
+    if np.any(m <= 0):
+        issues.append("cost must be strictly increasing on the scope interval")
+    if np.any(k < CONVEXITY_FLOOR):
+        issues.append(f"cost curvature must stay above {CONVEXITY_FLOOR}")
+    # Weak log-convexity, c*c'' >= (c')^2 up to rounding slack, compared in the
+    # scale-free form u >= v^2 with u = c''/c and v = c'/c: the products of c
+    # and its derivatives can overflow where the ratios do not.
+    log_convex = False
+    if np.all(c > 0):
+        u, v2 = k / c, (m / c) ** 2
+        log_convex = bool(np.all(u - v2 >= -1e-12 * np.maximum(1.0, np.maximum(np.abs(u), v2))))
+
+    return CostValidation(valid=not issues, log_convex=log_convex, issues=tuple(issues))
+
+
+def sizes(low: int = -300, high: int = 300):
+    """Positive floats from 10**low to 10**(high + 1)."""
+    return st.builds(lambda m, e: m * 10.0**e, floats(1.0, 9.99), st.integers(low, high))
+
+
+# Parameter magnitudes: moderate ones as often as extreme ones.
+MAGNITUDES = st.one_of(sizes(-3, 2), sizes())
+
+
+def at_least(edge: float):
+    return st.one_of(st.just(edge), MAGNITUDES.map(lambda x: edge + x))
+
+
+ANY_VALUE = st.one_of(MAGNITUDES, MAGNITUDES.map(lambda x: -x),
+                      st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+# Specs within their family's rules, and specs whose parameters are anything finite.
+RULED_SPECS = st.one_of(
+    st.builds(ScaledExponential, b=MAGNITUDES, beta=at_least(1.0)),
+    st.builds(ScaledPower, a=MAGNITUDES, p=at_least(2.0), beta=at_least(1.0)),
+    st.builds(AffineQuadratic, a2=MAGNITUDES, a1=st.one_of(st.just(0.0), MAGNITUDES),
+              a0=MAGNITUDES),
+)
+FREE_SPECS = st.one_of(
+    st.builds(ScaledExponential, b=ANY_VALUE, beta=ANY_VALUE),
+    st.builds(ScaledPower, a=ANY_VALUE, p=ANY_VALUE, beta=ANY_VALUE),
+    st.builds(AffineQuadratic, a2=ANY_VALUE, a1=ANY_VALUE, a0=ANY_VALUE),
+)
+
+
+def raises_at(spec, x: float) -> bool:
+    return any(isinstance(outcome(getattr(spec, name), x), tuple)
+               for name in METHODS_WITH_SCALAR_PATH)
+
+
+def first_raising_above(spec, lo: float) -> float | None:
+    """The smallest float scope above ``lo`` at which c, c' or c'' raises, by
+    bisection over float bit patterns; None when one raises at lo or none
+    does below inf."""
+    if raises_at(spec, lo) or not raises_at(spec, np.inf):
+        return None
+    good, bad = int(np.float64(lo).view(np.int64)), int(np.float64(np.inf).view(np.int64))
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if raises_at(spec, float(np.int64(mid).view(np.float64))):
+            bad = mid
+        else:
+            good = mid
+    return float(np.int64(bad).view(np.float64))
+
+
+@st.composite
+def checked_cases(draw):
+    """A spec and bounds: lo from the floor up; hi equal to lo, near it, far
+    past it, past 1e6, or at or just past the first scope where c, c' or c''
+    overflows (so only the top of the grid overflows)."""
+    spec = draw(st.one_of(RULED_SPECS, FREE_SPECS))
+    lo = draw(st.one_of(st.just(SCOPE_FLOOR), sizes(-9, 2), sizes(-9, 300)))
+    kind = draw(st.sampled_from(["equal", "near", "far", "past 1e6", "overflow"]))
+    hi = lo
+    if kind == "near":
+        hi = lo * (1.0 + draw(floats(0.0, 1.0)))
+    elif kind == "far":
+        hi = lo + draw(sizes())
+    elif kind == "past 1e6":
+        hi = max(lo, draw(sizes(6, 300)))
+    elif kind == "overflow":
+        edge = first_raising_above(spec, lo)
+        if edge is not None and edge < 1.7e308:
+            hi = draw(st.sampled_from([edge, float(np.nextafter(edge, np.inf)), 1.001 * edge]))
+    return spec, ScopeBounds(lo, hi)
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+@given(checked_cases())
+@example((ScaledExponential(b=1.0), ScopeBounds(1.0, 800.0)))
+@example((ScaledExponential(b=1.0), ScopeBounds(709.0, 709.0)))
+@example((ScaledPower(a=1.0, p=300.0), ScopeBounds(0.1, 100.0)))
+@example((ScaledPower(a=1e300, p=1e10), ScopeBounds(0.5, 2.0)))
+@example((ScaledExponential(b=1e-300, beta=1e300), ScopeBounds(0.1, 10.0)))
+@example((AffineQuadratic(a2=1.0, a1=0.0, a0=1.0), ScopeBounds(1e6, 1e7)))
+@example((AffineQuadratic(a2=1e200, a1=0.0, a0=1.0), ScopeBounds(0.1, 1e60)))
+def test_cost_issues_equal_the_grid_reference(case):
+    # Within its family's rules a spec is checked at its two bounds, not on the
+    # grid: the issues (texts and order) and validate_cost's whole report must
+    # be the verbatim grid reference's, for specs in and out of their rules.
+    spec, bounds = case
+    expected = reference_validate_cost(spec, bounds)
+    assert validate_cost(spec, bounds) == expected
+    assert cost_issues(spec, bounds) == expected.issues

@@ -217,17 +217,18 @@ def test_planner_drawdown_dominates_equilibrium_trigger_on_shared_alliances():
 
 
 def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
-    # C/S^2 is memoized per alliance: outside the scope solves and the welfare
-    # of feasible chains, cost() runs at most once per member of each distinct
-    # alliance, however many chain links reuse that alliance.
+    # C/S^2 reads the cost sum each planner solve keeps on its profile: outside
+    # the scope solves and the welfare of feasible chains, cost() never runs,
+    # however many chain links reuse an alliance.
     import teamsearch.planner as planner_module
     import teamsearch.scopes as scopes_module
 
-    inside, counted, solved = [0], [0], set()
+    inside, counted, calls, solved = [0], [0], [0], set()
 
     class CountingExponential(ScaledExponential):
         def cost(self, sigma):
             counted[0] += not inside[0]
+            calls[0] += 1
             return super().cost(sigma)
 
     def uncounted(fn):
@@ -248,7 +249,7 @@ def test_brute_force_sums_chain_costs_once_per_alliance(monkeypatch):
     brute_force_optimal_chain(costs, ROOMY)
     bound = sum(len(alliance) for alliance in solved)
     links = sum(len(chain) for chain in enumerate_chains(range(5), wellordered=False))
-    assert 0 < counted[0] <= bound
+    assert counted[0] == 0 < bound <= calls[0]
     assert links > 10 * bound
 
 

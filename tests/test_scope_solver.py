@@ -1263,3 +1263,24 @@ def test_scan_row_cache_keeps_every_profile_in_either_order(order):
     for (a, c), profile in zip(problems, profiles):
         assert _builds_grid(a, c, WIDE)
         assert profile == planner_scopes(a, c, WIDE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planner_profiles_keep_their_members_cost_sum(seed):
+    # A planner link's C/S^2 reads this sum: the members' cost() at their
+    # solved scopes, added in member order, bit for bit.  It takes no part in
+    # a profile's equality or repr, so reference comparisons ignore it.
+    from dataclasses import replace
+
+    solved = 0
+    for bounds, problems in _problem_sets(seed):
+        for alliance, costs in problems:
+            profile = _solve_or_error(planner_scopes, alliance, costs, bounds)
+            if isinstance(profile, Exception):
+                continue
+            solved += 1
+            total = sum(costs[i].cost(profile.per_agent[i]) for i in alliance)
+            assert profile.cost_sum.hex() == total.hex()
+            assert replace(profile, cost_sum=None) == profile
+            assert "cost_sum" not in repr(profile)
+    assert solved > 50

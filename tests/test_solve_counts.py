@@ -153,3 +153,27 @@ def test_greedy_chain_of_any_agent_order_solves_each_suffix_once(solved, monkeyp
     assert all(set(small) < set(large) for small, large in zip(chain, chain[1:]))
     bare_planner_solves(monkeypatch)
     assert run(argv) == out
+
+
+def test_scan_row_cells_share_their_unit_and_beta3_specs(monkeypatch):
+    # Within a beta3 row, every cell's first agent is the template's first
+    # spec (beta = 1) and its third agent one spec built for the row; only the
+    # beta2 spec is built per cell.  The cascades get the chains' lists.
+    import teamsearch.scan as scan_module
+    from teamsearch.costs import ScaledExponential, ScopeBounds
+
+    chained, cascaded = [], []
+    real_chains, real_schedules = scan_module.optimal_chains, scan_module.exit_schedules
+    monkeypatch.setattr(scan_module, "optimal_chains",
+                        lambda lists, bounds: chained.append(lists) or real_chains(lists, bounds))
+    monkeypatch.setattr(scan_module, "exit_schedules", lambda problems, bounds: real_schedules(
+        ((team, cascaded.append(costs) or costs) for team, costs in problems), bounds))
+    agents = [ScaledExponential(b=1.0) for _ in range(3)]
+    spec = scan_module.ScanSpec(beta2_range=(0.6, 2.6), beta3_range=(1.0, 7.0), steps=12)
+    cells = list(scan_module.scan_cells(agents, ScopeBounds(0.1, 10.0), spec))
+    assert len(cells) == 144 and len(chained) == 12
+    assert len(cascaded) == sum(map(len, chained)) > 12
+    assert all(a is b for a, b in zip((c for row in chained for c in row), cascaded))
+    for row in filter(None, chained):
+        assert all(costs[0] is agents[0] and costs[2] is row[0][2] for costs in row)
+        assert len({id(costs[1]) for costs in row}) == len(row)
